@@ -6,7 +6,7 @@
 #
 # An optional third pass (`scripts/ci.sh tsan`) builds with ThreadSanitizer
 # and runs the concurrency-heavy suites (obs registry/tracer, dispatcher,
-# executor, net reactor/TCP, stress, chaos) — slower, so it is opt-in.
+# executor, failure recovery, net reactor/TCP, stress, chaos) — slower, so it is opt-in.
 #
 # An optional benchmark pass (`scripts/ci.sh bench`) runs the dispatch-path
 # benchmarks and gates on the committed baselines (scripts/bench.sh) —
@@ -119,8 +119,10 @@ if [ "${1:-}" = "tsan" ]; then
   # the pool — exactly the sharing TSan is for. (test_net$ keeps the
   # 10k-connection test_net_soak out of the TSan pass: 20k fds at TSan
   # slowdown blows the time budget without adding new interleavings.)
+  # test_failures: recovery sweeps run on the caller's thread in-process
+  # and on a reactor loop thread over TCP, racing executor RPC handlers.
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-        -R 'test_obs|test_dispatcher|test_executor|test_stress|test_net$|test_tcp|test_wal|test_ha|test_dataaware'
+        -R 'test_obs|test_dispatcher|test_executor|test_failures|test_stress|test_net$|test_tcp|test_wal|test_ha|test_dataaware'
   echo "== Sharded-reactor suites under TSan =="
   # The multi-loop paths alone first, so a race report names the shard
   # machinery (accept handoff, set_affinity migration, cross-thread flush

@@ -82,9 +82,6 @@ Dispatcher::Dispatcher(Clock& clock, DispatcherConfig config,
     m_data_digests_ = &reg.counter("falkon.data.digests_applied");
     m_data_evictions_ = &reg.counter("falkon.data.evictions");
   }
-  if (config_.sweep_interval_s > 0) {
-    sweeper_ = std::thread([this] { sweeper_loop(); });
-  }
 }
 
 Dispatcher::~Dispatcher() { shutdown(); }
@@ -99,30 +96,7 @@ void Dispatcher::shutdown() {
       instance->cv.notify_all();
     }
   }
-  if (sweeper_.joinable()) {
-    {
-      std::lock_guard lock(sweep_mu_);
-      sweep_stop_ = true;
-    }
-    sweep_cv_.notify_all();
-    sweeper_.join();
-  }
   notify_pool_.shutdown();
-}
-
-void Dispatcher::sweeper_loop() {
-  std::unique_lock lock(sweep_mu_);
-  for (;;) {
-    // Model-time interval -> real wait for scaled clocks; the cv makes
-    // shutdown prompt regardless of the interval.
-    const double real_interval = config_.sweep_interval_s / clock_.rate();
-    sweep_cv_.wait_for(lock, std::chrono::duration<double>(real_interval),
-                       [&] { return sweep_stop_; });
-    if (sweep_stop_) return;
-    lock.unlock();
-    sweep_once();
-    lock.lock();
-  }
 }
 
 void Dispatcher::sweep_once() {
@@ -131,28 +105,6 @@ void Dispatcher::sweep_once() {
   (void)check_replays();
   (void)check_liveness();
   renotify_stale();
-}
-
-bool Dispatcher::adopt_external_sweeper() {
-  if (config_.sweep_interval_s <= 0) return false;
-  if (sweeper_.joinable()) {
-    {
-      std::lock_guard lock(sweep_mu_);
-      sweep_stop_ = true;
-    }
-    sweep_cv_.notify_all();
-    sweeper_.join();
-    sweeper_ = std::thread();
-    std::lock_guard lock(sweep_mu_);
-    sweep_stop_ = false;  // allow resume_internal_sweeper later
-  }
-  return true;
-}
-
-void Dispatcher::resume_internal_sweeper() {
-  if (config_.sweep_interval_s <= 0 || shutdown_.load()) return;
-  if (sweeper_.joinable()) return;
-  sweeper_ = std::thread([this] { sweeper_loop(); });
 }
 
 double Dispatcher::sweep_interval_real_s() const {
@@ -1172,17 +1124,13 @@ void Dispatcher::deliver_batch(InstanceId instance_id,
                                const std::shared_ptr<Instance>& instance,
                                std::vector<TaskResult> results) {
   if (results.empty()) return;
-  bool notify_client = false;
   bool inline_drain = false;
-  std::size_t ready = 0;
   {
     std::lock_guard ilock(instance->mu);
     if (!instance->open) return;
-    const bool was_empty = instance->results.empty();
     instance->results.insert(instance->results.end(),
                              std::make_move_iterator(results.begin()),
                              std::make_move_iterator(results.end()));
-    ready = instance->results.size();
     if (instance->streaming) {
       if (!instance->drain_scheduled &&
           instance->results.size() - instance->streamed_prefix >=
@@ -1197,32 +1145,11 @@ void Dispatcher::deliver_batch(InstanceId instance_id,
       } else {
         schedule_drain_locked(instance_id, instance);
       }
-    } else {
-      // Client notification {8}, sent off the delivery path.
-      // Edge-triggered: only the batch that turned the mailbox non-empty
-      // notifies — a client woken by it drains everything that piled up
-      // since, and the check and the drain run under the same mailbox
-      // lock, so no wake-up is lost. At high completion rates this
-      // collapses one push frame per delivery into one per mailbox drain.
-      notify_client = was_empty;
     }
   }
+  // Polling clients block in wait_results on this condition variable.
   instance->cv.notify_all();
-  if (inline_drain) {
-    stream_drain(instance_id, instance, /*flush=*/false);
-    return;
-  }
-  if (!notify_client) return;
-  std::shared_ptr<ClientSink> sink;
-  {
-    std::lock_guard lock(listeners_mu_);
-    sink = client_sink_;
-  }
-  if (sink) {
-    (void)notify_pool_.submit([sink, instance_id, ready] {
-      sink->notify(instance_id, ready);
-    });
-  }
+  if (inline_drain) stream_drain(instance_id, instance, /*flush=*/false);
 }
 
 void Dispatcher::schedule_drain_locked(
@@ -1239,7 +1166,7 @@ void Dispatcher::stream_drain(InstanceId instance_id,
                               bool flush) {
   std::shared_ptr<ClientSink> sink;
   {
-    std::lock_guard lock(listeners_mu_);
+    std::lock_guard lock(sink_mu_);
     sink = client_sink_;
   }
   std::unique_lock ilock(instance->mu);
@@ -1388,21 +1315,14 @@ Result<Dispatcher::DeliverOutcome> Dispatcher::deliver_results(
     return make_error(ErrorCode::kUnavailable, "injected lost ack");
   }
 
-  // A result accepted under the entry lock, held until the lock is
-  // released: the completion listener and instance routing run lock-free.
-  struct Accepted {
-    TaskResult result;
-    InstanceId instance;
-    bool route{false};
-  };
-  std::vector<Accepted> accepted;
+  // Results accepted under the entry lock, routed once it is released.
+  std::vector<PendingRoute> to_route;
   DeliverOutcome outcome;
   bool pump_after = false;
-  double now;
   {
     auto elock = lock_entry(*entry);
     if (entry->removed) return unknown_executor(executor_id.value);
-    now = clock_.now_s();
+    const double now = clock_.now_s();
     entry->last_heartbeat_s = now;
 
     for (auto& result : results) {
@@ -1449,8 +1369,6 @@ Result<Dispatcher::DeliverOutcome> Dispatcher::deliver_results(
           config_.journal->on_requeue({result.task_id}, /*retry=*/true);
         }
         requeue_task(to_queued(std::move(dispatched)), /*front=*/false);
-        accepted.push_back(
-            Accepted{std::move(result), instance_id, /*route=*/false});
         continue;
       }
 
@@ -1468,8 +1386,7 @@ Result<Dispatcher::DeliverOutcome> Dispatcher::deliver_results(
         tracer_->instant(result.task_id, obs::Stage::kAck, now,
                          executor_id.value);
       }
-      accepted.push_back(
-          Accepted{std::move(result), instance_id, /*route=*/true});
+      to_route.push_back(PendingRoute{instance_id, std::move(result)});
     }
 
     // Piggy-back new work on the acknowledgement {7} (section 3.4).
@@ -1488,30 +1405,7 @@ Result<Dispatcher::DeliverOutcome> Dispatcher::deliver_results(
     }
   }
 
-  if (!accepted.empty()) {
-    {
-      std::lock_guard slock(stats_mu_);
-      for (const auto& a : accepted) {
-        overhead_stats_.add(a.result.overhead_s);
-      }
-    }
-    std::function<void(const TaskResult&, double)> listener;
-    {
-      std::lock_guard lock(listeners_mu_);
-      listener = completion_listener_;
-    }
-    if (listener) {
-      for (const auto& a : accepted) listener(a.result, now);
-    }
-    std::vector<PendingRoute> to_route;
-    to_route.reserve(accepted.size());
-    for (auto& a : accepted) {
-      if (a.route) {
-        to_route.push_back(PendingRoute{a.instance, std::move(a.result)});
-      }
-    }
-    route_all(to_route);
-  }
+  route_all(to_route);
   if (pump_after) pump_notifications();
   return outcome;
 }
@@ -1727,20 +1621,9 @@ std::vector<ExecutorId> Dispatcher::request_release(int count) {
   return released;
 }
 
-void Dispatcher::set_completion_listener(
-    std::function<void(const TaskResult&, double)> listener) {
-  std::lock_guard lock(listeners_mu_);
-  completion_listener_ = std::move(listener);
-}
-
 void Dispatcher::set_client_sink(std::shared_ptr<ClientSink> sink) {
-  std::lock_guard lock(listeners_mu_);
+  std::lock_guard lock(sink_mu_);
   client_sink_ = std::move(sink);
-}
-
-Accumulator Dispatcher::overhead_stats() const {
-  std::lock_guard lock(stats_mu_);
-  return overhead_stats_;
 }
 
 }  // namespace falkon::core

@@ -25,18 +25,16 @@
 //     mutexes are never held together.
 //   * Counters are atomics; busy_ is maintained incrementally on state
 //     transitions instead of recounted under a global lock.
-//   * Result routing and the completion listener run outside all
-//     dispatcher locks.
+//   * Result routing runs outside all dispatcher locks; `sink_mu_` guards
+//     only the client sink pointer.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -44,7 +42,6 @@
 #include "common/clock.h"
 #include "common/ids.h"
 #include "common/result.h"
-#include "common/stats.h"
 #include "common/task.h"
 #include "common/thread_pool.h"
 #include "core/journal.h"
@@ -107,10 +104,9 @@ struct DispatcherConfig {
   /// registration) is older than this, requeueing its in-flight tasks.
   /// 0 disables the detector.
   double heartbeat_timeout_s{0.0};
-  /// Background recovery sweep period (model time). When > 0 a sweeper
-  /// thread runs replay timeouts, the failure detector and stale-
-  /// notification resends automatically; 0 keeps the manual-only
-  /// check_replays() behaviour.
+  /// Recovery sweep period (model time) for whoever drives sweep_once():
+  /// TcpDispatcherServer arms a reactor timer at this period when > 0;
+  /// in-process deployments call sweep_once() themselves.
   double sweep_interval_s{0.0};
   /// Re-send the notification of an executor stuck in the notified state
   /// longer than this (0 disables) — recovers notifications lost on the
@@ -169,29 +165,23 @@ class ExecutorSink {
   virtual void on_removed(ExecutorId id) { (void)id; }
 };
 
-/// How the dispatcher notifies clients that results are ready for pick-up
-/// (message {8} of paper Figure 2). Optional: clients may instead poll
-/// wait_results (the paper's firewall-bypass mode).
+/// How the dispatcher pushes results to streaming clients (message {8} of
+/// paper Figure 2 carried as a ResultStream — docs/PROTOCOL.md). Optional:
+/// clients may instead block in wait_results (the paper's firewall-bypass
+/// mode).
 class ClientSink {
  public:
   virtual ~ClientSink() = default;
-  virtual void notify(InstanceId instance, std::uint64_t results_ready) = 0;
 
-  /// Push a drained mailbox batch to a streaming subscriber (a ResultStream
-  /// frame on the push channel — docs/PROTOCOL.md). Returns false when the
-  /// batch could not be handed to the transport (no push channel, unknown
-  /// subscription key): the dispatcher rolls its streaming cursor back and
-  /// the results stay in the mailbox for wait_results polling. A transport
-  /// that accepted the frame but lost it downstream (backpressure shed,
-  /// severed connection) may still return true — loss is recovered by the
-  /// ack protocol, never by this return value.
+  /// Push a drained mailbox batch to a streaming subscriber. Returns false
+  /// when the batch could not be handed to the transport (no push channel,
+  /// unknown subscription key): the dispatcher rolls its streaming cursor
+  /// back and the results stay in the mailbox for wait_results polling. A
+  /// transport that accepted the frame but lost it downstream (backpressure
+  /// shed, severed connection) may still return true — loss is recovered
+  /// by the ack protocol, never by this return value.
   virtual bool deliver(InstanceId instance, std::uint64_t seq,
-                       const std::vector<TaskResult>& results) {
-    (void)instance;
-    (void)seq;
-    (void)results;
-    return false;
-  }
+                       const std::vector<TaskResult>& results) = 0;
 };
 
 class Dispatcher {
@@ -315,37 +305,26 @@ class Dispatcher {
   /// Replay policy enforcement: requeue dispatched tasks whose response
   /// timeout elapsed; tasks already out of retry budget are failed
   /// permanently so they cannot linger on a black-holed executor forever.
-  /// Returns the number of tasks requeued. Runs automatically when
-  /// config.sweep_interval_s > 0; otherwise call periodically (the
-  /// provisioner's poll loop does).
+  /// Returns the number of tasks requeued. Part of sweep_once().
   int check_replays();
 
   /// Failure detector: deregister executors whose heartbeat is older than
   /// config.heartbeat_timeout_s and requeue (or quarantine) their
-  /// in-flight tasks. Returns the number of executors removed. Runs
-  /// automatically when the sweeper is enabled.
+  /// in-flight tasks. Returns the number of executors removed. Part of
+  /// sweep_once().
   int check_liveness();
 
   /// Re-send notifications to executors stuck in the notified state past
-  /// config.renotify_timeout_s (lost-notification recovery). Runs
-  /// automatically when the sweeper is enabled.
+  /// config.renotify_timeout_s (lost-notification recovery). Part of
+  /// sweep_once().
   void renotify_stale();
 
   /// One full recovery sweep (replay timeouts + failure detector + stale
-  /// renotify), exactly what one sweeper-thread iteration runs. Public so
-  /// an external timer (the TCP service's reactor wheel) can drive the
-  /// cadence instead of a dedicated thread. No-op after shutdown.
+  /// renotify). The dispatcher owns no thread for it: TcpDispatcherServer
+  /// calls it from a reactor timer every sweep_interval_real_s();
+  /// in-process callers (the provisioner's poll loop, test runners) call
+  /// it themselves. No-op after shutdown.
   void sweep_once();
-
-  /// Hand the sweep cadence to an external timer: stops and joins the
-  /// internal sweeper thread. Returns false (and does nothing) when no
-  /// sweeping is configured (sweep_interval_s <= 0). The caller must then
-  /// invoke sweep_once() every sweep_interval_real_s() seconds and call
-  /// resume_internal_sweeper() when its timer goes away.
-  bool adopt_external_sweeper();
-
-  /// Restart the internal sweeper thread after adopt_external_sweeper().
-  void resume_internal_sweeper();
 
   /// The sweep period in real seconds (config interval is model time).
   [[nodiscard]] double sweep_interval_real_s() const;
@@ -354,19 +333,9 @@ class Dispatcher {
   /// returns ids actually asked.
   std::vector<ExecutorId> request_release(int count);
 
-  /// Invoked for every task result accepted (before retry filtering), with
-  /// the dispatcher clock's timestamp; benches use it for throughput
-  /// sampling. Must be set before executors start. Called without locks.
-  void set_completion_listener(
-      std::function<void(const TaskResult&, double now_s)> listener);
-
-  /// Install the client-notification channel {8}; notifications are sent
-  /// from the notification engine's thread pool whenever results land in
-  /// an instance's mailbox.
+  /// Install the result-streaming channel {8} used by instances that
+  /// called subscribe_results().
   void set_client_sink(std::shared_ptr<ClientSink> sink);
-
-  /// Per-task overhead statistics (round-trip minus execution time).
-  [[nodiscard]] Accumulator overhead_stats() const;
 
   void shutdown();
 
@@ -529,10 +498,9 @@ class Dispatcher {
 
   /// Route a delivery batch to its instance mailboxes: one inst_mu_
   /// acquisition resolving every distinct instance, then per instance one
-  /// mailbox lock, one bulk append, and one wake-up (an edge-triggered
-  /// ClientNotify for polling instances, a scheduled stream drain for
-  /// streaming ones) — a 256-task ResultBundle costs 1 lock acquisition,
-  /// not 256.
+  /// mailbox lock, one bulk append, and one wake-up (the mailbox condition
+  /// variable for polling instances, a stream drain for streaming ones) —
+  /// a 256-task ResultBundle costs 1 lock acquisition, not 256.
   void route_all(std::vector<PendingRoute>& to_route);
 
   /// Append `results` to one instance's mailbox and wake its consumers.
@@ -553,8 +521,6 @@ class Dispatcher {
   /// caller's RPC reply is never held hostage to a coalescing wait.
   void stream_drain(InstanceId instance_id,
                     const std::shared_ptr<Instance>& instance, bool flush);
-
-  void sweeper_loop();
 
   // Requires entry.mu held (NOT queue_mu_). Pops up to max_tasks for
   // `entry` honouring the dispatch policy; `adaptive` sizes the bundle
@@ -649,12 +615,8 @@ class Dispatcher {
   std::mutex ids_mu_;
   IdGenerator<ExecutorId> executor_ids_;  // guarded by ids_mu_
 
-  std::mutex listeners_mu_;
-  std::function<void(const TaskResult&, double)> completion_listener_;
-  std::shared_ptr<ClientSink> client_sink_;
-
-  mutable std::mutex stats_mu_;
-  Accumulator overhead_stats_;
+  std::mutex sink_mu_;
+  std::shared_ptr<ClientSink> client_sink_;  // guarded by sink_mu_
 
   /// Executors removed by the failure detector; a later heartbeat or
   /// delivery from one of these ids is counted as a false suspicion.
@@ -694,12 +656,6 @@ class Dispatcher {
   std::atomic<std::uint32_t> busy_{0};
 
   std::atomic<bool> shutdown_{false};
-
-  // Background recovery sweeper (runs when config_.sweep_interval_s > 0).
-  std::thread sweeper_;
-  std::mutex sweep_mu_;
-  std::condition_variable sweep_cv_;
-  bool sweep_stop_{false};
 };
 
 }  // namespace falkon::core

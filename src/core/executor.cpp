@@ -65,7 +65,7 @@ void ExecutorRuntime::notify(std::uint64_t resource_key) {
   }
   cv_.notify_all();
   {
-    std::lock_guard lock(stats_mu_);
+    std::lock_guard lock(stats_mutex_);
     ++stats_.notifications;
   }
   if (m_notifications_) m_notifications_->inc();
@@ -91,19 +91,19 @@ void ExecutorRuntime::join() {
 }
 
 ExecutorStats ExecutorRuntime::stats() const {
-  std::lock_guard lock(stats_mu_);
+  std::lock_guard lock(stats_mutex_);
   return stats_;
 }
 
 void ExecutorRuntime::set_exit_listener(
     std::function<void(ExecutorId)> listener) {
-  std::lock_guard lock(stats_mu_);
+  std::lock_guard lock(stats_mutex_);
   exit_listener_ = std::move(listener);
 }
 
 void ExecutorRuntime::set_id_listener(
     std::function<void(ExecutorId)> listener) {
-  std::lock_guard lock(stats_mu_);
+  std::lock_guard lock(stats_mutex_);
   id_listener_ = std::move(listener);
 }
 
@@ -126,7 +126,7 @@ bool ExecutorRuntime::try_reregister() {
       id_value_.store(registered.value().value, std::memory_order_release);
       std::function<void(ExecutorId)> listener;
       {
-        std::lock_guard lock(stats_mu_);
+        std::lock_guard lock(stats_mutex_);
         ++stats_.reregistrations;
         listener = id_listener_;
       }
@@ -155,7 +155,7 @@ auto ExecutorRuntime::call_with_retry(Call&& call) -> decltype(call()) {
   fault::Backoff backoff(options_.backoff, id().value + 1);
   for (int attempt = 0; attempt < options_.link_retries; ++attempt) {
     {
-      std::lock_guard lock(stats_mu_);
+      std::lock_guard lock(stats_mutex_);
       ++stats_.link_retries;
     }
     if (!interruptible_sleep(backoff.next_s())) return result;
@@ -170,7 +170,7 @@ void ExecutorRuntime::heartbeat_loop() {
     if (!interruptible_sleep(options_.heartbeat_interval_s)) return;
     if (crashed_.load() || !running_.load()) return;
     if (link_.heartbeat(id()).ok()) {
-      std::lock_guard lock(stats_mu_);
+      std::lock_guard lock(stats_mutex_);
       ++stats_.heartbeats_sent;
     }
   }
@@ -214,7 +214,7 @@ void ExecutorRuntime::work_loop() {
       }
       if (tasks.empty()) {
         {
-          std::lock_guard lock(stats_mu_);
+          std::lock_guard lock(stats_mutex_);
           ++stats_.empty_polls;
         }
         if (m_empty_polls_) m_empty_polls_->inc();
@@ -258,7 +258,7 @@ void ExecutorRuntime::work_loop() {
         result.executor_id = id();
         const double elapsed = clock_.now_s() - start;
         {
-          std::lock_guard lock(stats_mu_);
+          std::lock_guard lock(stats_mutex_);
           ++stats_.tasks_executed;
           stats_.busy_time_s += elapsed;
         }
@@ -333,7 +333,7 @@ void ExecutorRuntime::work_loop() {
   running_.store(false);
   std::function<void(ExecutorId)> listener;
   {
-    std::lock_guard lock(stats_mu_);
+    std::lock_guard lock(stats_mutex_);
     listener = exit_listener_;
   }
   if (listener) listener(id());

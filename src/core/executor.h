@@ -209,7 +209,7 @@ class ExecutorRuntime {
   std::condition_variable cv_;
   bool notified_{false};
 
-  mutable std::mutex stats_mu_;
+  mutable std::mutex stats_mutex_;
   ExecutorStats stats_;
   std::function<void(ExecutorId)> exit_listener_;
   std::function<void(ExecutorId)> id_listener_;

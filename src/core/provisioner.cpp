@@ -41,7 +41,7 @@ void Provisioner::step() {
   // callbacks (allocation start/done) run on this thread, lock-free.
   gram_.step();
   scheduler_.step();
-  dispatcher_.check_replays();
+  dispatcher_.sweep_once();
 
   const DispatcherStatus status = dispatcher_.status();
   {

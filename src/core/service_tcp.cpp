@@ -140,10 +140,9 @@ Status TcpDispatcherServer::start(std::uint16_t rpc_port,
     dispatcher_.set_client_sink(nullptr);
     return status;
   }
-  // Move the dispatcher's recovery sweep onto the reactor's timer wheel:
-  // same cadence, one fewer dedicated thread in the deployment.
-  if (dispatcher_.adopt_external_sweeper()) {
-    sweeper_adopted_ = true;
+  // The dispatcher owns no sweep thread: the recovery sweep rides the
+  // reactor's timer wheel.
+  if (dispatcher_.sweep_interval_real_s() > 0) {
     sweep_timer_ = reactor_.add_periodic(
         dispatcher_.sweep_interval_real_s(), [this] { dispatcher_.sweep_once(); });
   }
@@ -157,28 +156,15 @@ void TcpDispatcherServer::stop() {
   // stop must not touch the dangling reference.
   if (!started_) return;
   started_ = false;
-  if (sweeper_adopted_) {
+  if (sweep_timer_ != 0) {
     reactor_.cancel_timer(sweep_timer_);
     reactor_.barrier();  // a final sweep_once() may be mid-flight
-    sweeper_adopted_ = false;
-    dispatcher_.resume_internal_sweeper();
+    sweep_timer_ = 0;
   }
   dispatcher_.set_client_sink(nullptr);
   rpc_.stop();
   push_.stop();
   reactor_.stop();
-}
-
-Status TcpResultListener::start(const std::string& host,
-                                std::uint16_t push_port, InstanceId instance,
-                                Callback callback) {
-  return receiver_.start(
-      host, push_port, kClientKeyBase + instance.value,
-      [callback = std::move(callback)](const wire::Message& message) {
-        if (const auto* notify = std::get_if<wire::ClientNotify>(&message)) {
-          callback(notify->instance_id, notify->completed);
-        }
-      });
 }
 
 void TcpDispatcherServer::release_executor(std::uint64_t executor_value) {
@@ -191,8 +177,6 @@ void TcpDispatcherServer::release_executor(std::uint64_t executor_value) {
     }
   }
 }
-
-void TcpResultListener::stop() { receiver_.stop(); }
 
 wire::Message TcpDispatcherServer::handle(const wire::Message& request) {
   if (m_requests_) m_requests_->inc();
@@ -636,7 +620,7 @@ Result<InstanceId> TcpDispatcherClient::create_instance(ClientId client) {
 void TcpDispatcherClient::on_stream_frame(const std::shared_ptr<Stream>& stream,
                                           const wire::Message& message) {
   const auto* frame = std::get_if<wire::ResultStream>(&message);
-  if (frame == nullptr) return;  // e.g. a stray ClientNotify
+  if (frame == nullptr) return;
   std::lock_guard lock(stream->mu);
   if (!stream->resync &&
       frame->seq == stream->last_seq + frame->results.size()) {

@@ -113,21 +113,14 @@ class TcpDispatcherServer {
     obs::Counter* pushes;
   };
 
-  /// ClientSink that writes ClientNotify frames {8} on the notification
-  /// channel for subscribed clients (unsubscribed clients just poll).
-  /// deliver() is the push-mode result stream (docs/PROTOCOL.md): a drained
-  /// mailbox batch rides the same channel as a ResultStream frame, keyed by
-  /// the instance's subscription. false (no subscriber) drops the instance
-  /// back to notify+poll; a frame lost in flight after a true return is
-  /// recovered by the SubscribeResults ack protocol, never by the sink.
+  /// ClientSink for the push-mode result stream {8} (docs/PROTOCOL.md): a
+  /// drained mailbox batch rides the notification channel as a ResultStream
+  /// frame, keyed by the instance's subscription. false (no subscriber)
+  /// drops the instance back to polling; a frame lost in flight after a
+  /// true return is recovered by the SubscribeResults ack protocol, never
+  /// by the sink.
   struct ClientPushSink final : ClientSink {
     explicit ClientPushSink(net::PushServer& push) : push(push) {}
-    void notify(InstanceId instance, std::uint64_t results_ready) override {
-      wire::ClientNotify message;
-      message.instance_id = instance;
-      message.completed = results_ready;
-      (void)push.push(kClientKeyBase + instance.value, message);
-    }
     bool deliver(InstanceId instance, std::uint64_t seq,
                  const std::vector<TaskResult>& results) override {
       wire::ResultStream message;
@@ -157,10 +150,9 @@ class TcpDispatcherServer {
   net::Reactor reactor_;
   net::RpcServer rpc_;
   net::PushServer push_;
-  /// Recovery sweep rides the reactor's timer wheel instead of the
-  /// dispatcher's dedicated sweeper thread (0 = sweeping disabled).
+  /// Recovery sweep (Dispatcher::sweep_once) on the reactor's timer wheel;
+  /// 0 when sweep_interval_s <= 0 leaves it unarmed.
   net::TimerId sweep_timer_{0};
-  bool sweeper_adopted_{false};
   /// Set by a fully-successful start(); stop() is a no-op otherwise (and
   /// after the first stop), so destroying a stopped server never touches
   /// the dispatcher reference again.
@@ -185,21 +177,6 @@ class TcpDispatcherServer {
   std::mutex bundles_mu_;
   /// executor id -> last bundle_seq sent and not yet echoed back.
   std::unordered_map<std::uint64_t, std::uint64_t> pending_bundles_;
-};
-
-/// Client-side subscription to result notifications {8}: connects to the
-/// dispatcher's notification port and invokes the callback whenever new
-/// results are ready for the instance — so clients need not poll tightly.
-class TcpResultListener {
- public:
-  using Callback = std::function<void(InstanceId, std::uint64_t results_ready)>;
-
-  Status start(const std::string& host, std::uint16_t push_port,
-               InstanceId instance, Callback callback);
-  void stop();
-
- private:
-  net::PushReceiver receiver_;
 };
 
 /// One executor connected to a remote dispatcher over TCP.

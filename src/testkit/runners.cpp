@@ -57,9 +57,9 @@ core::DispatcherConfig dispatcher_config(const WorkloadSpec& spec,
   config.max_bundle_runtime_s = spec.max_bundle_runtime_s;
   config.max_adaptive_bundle = spec.max_adaptive_bundle;
   config.obs = &obs;
-  // Background recovery always on: the sweep drives replay timeouts for
-  // fault-free specs too (where it simply never fires) and renotify covers
-  // lost push frames.
+  // Recovery sweep always on (the TCP server's timer, or the in-process
+  // quiesce loop): it drives replay timeouts for fault-free specs too
+  // (where it simply never fires) and renotify covers lost push frames.
   config.sweep_interval_s = 0.05;
   config.renotify_timeout_s = 0.3;
   if (spec.faulty()) {
@@ -129,18 +129,28 @@ void fill_terminal_status(RunHistory& history,
   history.dispatched_at_end = status.dispatched;
 }
 
-/// Poll `status()` until every submitted task is terminal, supervising the
-/// fleet via `respawn(slot)` and sampling the quarantine counter for I6.
-/// Returns false on deadline (run_error is set).
-template <class StatusFn, class RespawnFn>
+/// Poll `dispatcher.status()` until every submitted task is terminal,
+/// supervising the fleet via `respawn(slot)` and sampling the quarantine
+/// counter for I6. With `sweep` (in-process runs, where no server timer
+/// drives recovery) the loop also calls sweep_once() every configured
+/// sweep interval. Returns false on deadline (run_error is set).
+template <class RespawnFn>
 bool drive_to_quiesce(RunHistory& history, const WorkloadSpec& spec,
-                      double deadline_s, const StatusFn& status,
-                      const RespawnFn& respawn) {
+                      double deadline_s, core::Dispatcher& dispatcher,
+                      bool sweep, const RespawnFn& respawn) {
+  using std::chrono::steady_clock;
   const auto deadline =
-      std::chrono::steady_clock::now() +
+      steady_clock::now() +
       std::chrono::milliseconds(static_cast<long>(deadline_s * 1000));
+  const auto sweep_every = std::chrono::duration_cast<steady_clock::duration>(
+      std::chrono::duration<double>(dispatcher.sweep_interval_real_s()));
+  auto next_sweep = steady_clock::now() + sweep_every;
   for (;;) {
-    const core::DispatcherStatus now = status();
+    if (sweep && steady_clock::now() >= next_sweep) {
+      dispatcher.sweep_once();
+      next_sweep = steady_clock::now() + sweep_every;
+    }
+    const core::DispatcherStatus now = dispatcher.status();
     history.quarantine_series.push_back(now.quarantined);
     if (now.submitted >= spec.task_count &&
         now.completed + now.failed >= now.submitted) {
@@ -253,8 +263,8 @@ RunHistory run_inproc(const WorkloadSpec& spec) {
     }
   }
 
-  drive_to_quiesce(history, spec, /*deadline_s=*/60.0,
-                   [&] { return dispatcher.status(); }, respawn);
+  drive_to_quiesce(history, spec, /*deadline_s=*/60.0, dispatcher,
+                   /*sweep=*/true, respawn);
 
   // Pick up every routed result (failures included — replay exhaustion and
   // quarantine also deliver a terminal TaskResult).
@@ -413,8 +423,8 @@ RunHistory run_tcp(const WorkloadSpec& spec, double deadline_s) {
     }
   }
 
-  drive_to_quiesce(history, spec, deadline_s,
-                   [&] { return dispatcher.status(); }, respawn);
+  drive_to_quiesce(history, spec, deadline_s, dispatcher, /*sweep=*/false,
+                   respawn);
 
   int idle_polls = 0;
   while (history.run_error.empty() &&

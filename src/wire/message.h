@@ -2,7 +2,8 @@
 //
 // One message type per arrow in paper Figure 2:
 //   client <-> dispatcher : create/destroy instance, submit {1,2},
-//                           wait-results {9,10}, client notification {8}
+//                           wait-results {9,10}, results {8} (a pushed
+//                           ResultStream, or the blocking wait-results reply)
 //   dispatcher -> executor: notify {3} (push channel)
 //   executor <-> dispatcher: register, get-work {4,5}, deliver-result {6},
 //                           ack + piggy-backed next tasks {7}
@@ -45,7 +46,7 @@ enum class MsgType : std::uint8_t {
   kDeregisterReply = 17,
   kWaitResultsRequest = 18,
   kWaitResultsReply = 19,
-  kClientNotify = 20,
+  // 20 is retired: the decoder rejects it as an unknown type.
   kHeartbeatRequest = 21,
   kHeartbeatReply = 22,
   kTaskBundle = 23,
@@ -192,12 +193,6 @@ struct WaitResultsRequest {
 
 struct WaitResultsReply {
   std::vector<TaskResult> results;
-};
-
-/// Dispatcher -> client notification {8}: results are ready for pick-up.
-struct ClientNotify {
-  InstanceId instance_id;
-  std::uint64_t completed{0};
 };
 
 /// Executor liveness beacon on the control channel; the dispatcher's
@@ -390,8 +385,9 @@ struct ResultStream {
                                                    std::uint64_t object_bytes,
                                                    std::string payload);
 
-// NOTE: MsgType values equal variant indices (message_type() casts the
-// index) — new messages must be appended at the end of BOTH lists.
+// NOTE: MsgType values equal variant indices, except that alternatives
+// after the retired tag 20 sit one below their tag (message_type() maps
+// the index) — new messages must be appended at the end of BOTH lists.
 using Message =
     std::variant<ErrorReply, CreateInstanceRequest, CreateInstanceReply,
                  DestroyInstanceRequest, DestroyInstanceReply, SubmitRequest,
@@ -399,11 +395,10 @@ using Message =
                  GetWorkRequest, GetWorkReply, ResultRequest, ResultReply,
                  StatusRequest, StatusReply, DeregisterRequest,
                  DeregisterReply, WaitResultsRequest, WaitResultsReply,
-                 ClientNotify, HeartbeatRequest, HeartbeatReply, TaskBundle,
-                 ResultBundle, ReplFetch, ReplAppend, ReplSnapshot, ReplAck,
-                 ReplAckReply, ElectionPing, ElectionAck, CacheDigest,
-                 DataFetch, DataFetchReply, DataEvict, SubscribeResults,
-                 ResultStream>;
+                 HeartbeatRequest, HeartbeatReply, TaskBundle, ResultBundle,
+                 ReplFetch, ReplAppend, ReplSnapshot, ReplAck, ReplAckReply,
+                 ElectionPing, ElectionAck, CacheDigest, DataFetch,
+                 DataFetchReply, DataEvict, SubscribeResults, ResultStream>;
 
 [[nodiscard]] MsgType message_type(const Message& message);
 

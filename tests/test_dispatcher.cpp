@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <map>
+#include <thread>
 
 #include "common/clock.h"
 #include "core/dispatcher.h"
@@ -269,23 +272,6 @@ TEST_F(DispatcherTest, BundledSubmitKeepsFifoOrder) {
   }
 }
 
-TEST_F(DispatcherTest, CompletionListenerSeesEveryResult) {
-  std::atomic<int> seen{0};
-  dispatcher_.set_completion_listener(
-      [&](const TaskResult&, double) { seen.fetch_add(1); });
-  const InstanceId instance = make_instance();
-  const ExecutorId executor = add_executor();
-  ASSERT_TRUE(dispatcher_.submit(instance, sleep_tasks(1, 5)).ok());
-  for (int i = 0; i < 5; ++i) {
-    auto work = dispatcher_.get_work(executor, 1);
-    ASSERT_TRUE(work.ok());
-    ASSERT_TRUE(dispatcher_
-                    .deliver_results(executor, {success_for(work.value()[0])}, 0)
-                    .ok());
-  }
-  EXPECT_EQ(seen.load(), 5);
-}
-
 TEST_F(DispatcherTest, QueueAndOverheadTimingsUseClock) {
   const InstanceId instance = make_instance();
   const ExecutorId executor = add_executor();
@@ -303,6 +289,89 @@ TEST_F(DispatcherTest, QueueAndOverheadTimingsUseClock) {
   ASSERT_EQ(results.value().size(), 1u);
   EXPECT_DOUBLE_EQ(results.value()[0].queue_time_s, 5.0);
   EXPECT_DOUBLE_EQ(results.value()[0].overhead_s, 0.5);  // 2.0 - 1.5
+}
+
+/// Pull one task and deliver its result, as an executor on another thread.
+void complete_one(Dispatcher& dispatcher, ExecutorId executor) {
+  auto work = dispatcher.get_work(executor, 1);
+  ASSERT_TRUE(work.ok());
+  ASSERT_EQ(work.value().size(), 1u);
+  ASSERT_TRUE(
+      dispatcher.deliver_results(executor, {success_for(work.value()[0])}, 0)
+          .ok());
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// Polling clients have no result-ready push: wait_results is a blocking
+// long-poll, so a delivery from another thread must wake a waiter parked
+// on an empty mailbox instead of leaving it to its timeout.
+TEST_F(DispatcherTest, WaitResultsWakesOnDeliveryFromAnotherThread) {
+  const InstanceId instance = make_instance();
+  const ExecutorId executor = add_executor();
+  ASSERT_TRUE(dispatcher_.submit(instance, sleep_tasks(1, 1)).ok());
+  std::thread deliverer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    complete_one(dispatcher_, executor);
+  });
+  const auto start = std::chrono::steady_clock::now();
+  auto results = dispatcher_.wait_results(instance, 10, 5.0);
+  const double waited = seconds_since(start);
+  deliverer.join();
+  ASSERT_TRUE(results.ok());
+  EXPECT_EQ(results.value().size(), 1u);
+  EXPECT_LT(waited, 2.0);
+}
+
+// The lost-wakeup regression: each result lands right after the waiter
+// drained the mailbox, racing its next wait_results call.
+TEST_F(DispatcherTest, WaitResultsWakesOnDeliveryRightAfterDrain) {
+  constexpr int kRounds = 200;
+  const InstanceId instance = make_instance();
+  const ExecutorId executor = add_executor();
+  ASSERT_TRUE(dispatcher_.submit(instance, sleep_tasks(1, kRounds)).ok());
+  std::atomic<int> drained{0};
+  std::thread deliverer([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      while (drained.load() < round) std::this_thread::yield();
+      complete_one(dispatcher_, executor);
+    }
+  });
+  double slowest = 0.0;
+  int received = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    auto results = dispatcher_.wait_results(instance, 10, 5.0);
+    slowest = std::max(slowest, seconds_since(start));
+    if (results.ok()) received += static_cast<int>(results.value().size());
+    drained.store(round + 1);
+  }
+  deliverer.join();
+  EXPECT_EQ(received, kRounds);
+  EXPECT_LT(slowest, 2.0);
+}
+
+std::size_t thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+// The dispatcher owns no sweep thread: a sweep interval configures the
+// cadence for whoever calls sweep_once(), nothing more.
+TEST(DispatcherThreads, SweepIntervalStartsNoThreadBeyondNotifyPool) {
+  RealClock clock;
+  DispatcherConfig config;
+  config.notify_threads = 2;
+  config.sweep_interval_s = 0.01;
+  // Let pool threads of earlier tests finish exiting before the baseline.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::size_t before = thread_count();
+  Dispatcher dispatcher(clock, config);
+  EXPECT_EQ(thread_count(), before + 2);
 }
 
 TEST_F(DispatcherTest, DestroyInstanceDropsQueuedTasks) {
@@ -415,23 +484,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- batched routing + push-mode result streaming ----
 
-/// ClientSink double recording edge-triggered notifies {8} and pushed
-/// ResultStream batches; `accept` false makes deliver() refuse the batch
-/// (no subscriber on the push channel), which must drop the instance back
-/// to polling.
+/// ClientSink double recording pushed ResultStream batches; `accept` false
+/// makes deliver() refuse the batch (no subscriber on the push channel),
+/// which must drop the instance back to polling.
 struct RecordingClientSink final : ClientSink {
   std::mutex mu;
   std::condition_variable cv;
-  int notifies{0};
   bool accept{true};
   std::vector<std::pair<std::uint64_t, std::size_t>> batches;  // seq, count
   std::size_t streamed{0};
 
-  void notify(InstanceId, std::uint64_t) override {
-    std::lock_guard lock(mu);
-    ++notifies;
-    cv.notify_all();
-  }
   bool deliver(InstanceId, std::uint64_t seq,
                const std::vector<TaskResult>& results) override {
     std::lock_guard lock(mu);
@@ -440,11 +502,6 @@ struct RecordingClientSink final : ClientSink {
     streamed += results.size();
     cv.notify_all();
     return true;
-  }
-  bool wait_notifies(int n, double timeout_s = 5.0) {
-    std::unique_lock lock(mu);
-    return cv.wait_for(lock, std::chrono::duration<double>(timeout_s),
-                       [&] { return notifies >= n; });
   }
   bool wait_streamed(std::size_t n, double timeout_s = 5.0) {
     std::unique_lock lock(mu);
@@ -475,49 +532,6 @@ class DispatcherStreamingTest : public DispatcherTest {
   std::shared_ptr<RecordingClientSink> client_sink_;
 };
 
-TEST_F(DispatcherStreamingTest, BundleRoutesAsOneNotify) {
-  const InstanceId instance = make_instance();
-  const ExecutorId executor = add_executor();
-  ASSERT_TRUE(dispatcher_.submit(instance, sleep_tasks(1, 3)).ok());
-  // Three results in one ResultBundle: one mailbox append, one
-  // edge-triggered notify — not three.
-  complete_tasks(executor, 3);
-  ASSERT_TRUE(client_sink_->wait_notifies(1));
-  auto results = dispatcher_.wait_results(instance, 10, 0.0);
-  ASSERT_TRUE(results.ok());
-  EXPECT_EQ(results.value().size(), 3u);
-  {
-    std::lock_guard lock(client_sink_->mu);
-    EXPECT_EQ(client_sink_->notifies, 1);
-  }
-}
-
-TEST_F(DispatcherStreamingTest, EdgeTriggeredNotifyRearmsAfterDrain) {
-  const InstanceId instance = make_instance();
-  const ExecutorId executor = add_executor();
-  ASSERT_TRUE(dispatcher_.submit(instance, sleep_tasks(1, 3)).ok());
-
-  complete_tasks(executor, 1);
-  ASSERT_TRUE(client_sink_->wait_notifies(1));
-  // A second landing on a non-empty mailbox is edge-suppressed.
-  complete_tasks(executor, 1);
-  auto results = dispatcher_.wait_results(instance, 10, 1.0);
-  ASSERT_TRUE(results.ok());
-  EXPECT_EQ(results.value().size(), 2u);
-  {
-    std::lock_guard lock(client_sink_->mu);
-    EXPECT_EQ(client_sink_->notifies, 1);
-  }
-  // The lost-wakeup regression: a result landing right after the drain
-  // (mailbox just went empty) must re-fire the notify, or a remote client
-  // parks on its listener forever.
-  complete_tasks(executor, 1);
-  ASSERT_TRUE(client_sink_->wait_notifies(2));
-  results = dispatcher_.wait_results(instance, 10, 1.0);
-  ASSERT_TRUE(results.ok());
-  EXPECT_EQ(results.value().size(), 1u);
-}
-
 TEST_F(DispatcherStreamingTest, SubscribeStreamsAcksAndRearms) {
   const InstanceId instance = make_instance();
   const ExecutorId executor = add_executor();
@@ -532,7 +546,6 @@ TEST_F(DispatcherStreamingTest, SubscribeStreamsAcksAndRearms) {
     std::lock_guard lock(client_sink_->mu);
     // Cumulative seq: the last batch's seq equals the total streamed.
     EXPECT_EQ(client_sink_->batches.back().first, client_sink_->streamed);
-    EXPECT_EQ(client_sink_->notifies, 0);  // streaming replaces notify
   }
 
   // Un-acked results stay in the mailbox; the cumulative ack drops them.

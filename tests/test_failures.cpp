@@ -13,6 +13,7 @@
 #include "core/data_plane.h"
 #include "core/policies.h"
 #include "core/service.h"
+#include "core/service_tcp.h"
 #include "iomodel/io_model.h"
 #include "obs/obs.h"
 
@@ -196,9 +197,9 @@ TEST(Failures, LostResponseRecoversViaReplayTimeout) {
 }
 
 TEST(Failures, SweeperRecoversLostResponseWithoutManualSweep) {
-  // Same black-hole scenario as above, but nobody ever calls
-  // check_replays(): the background sweeper must notice the overdue tasks
-  // and requeue them on its own (docs/FAULTS.md).
+  // Same black-hole scenario as above, but nobody ever calls a sweep: the
+  // TcpDispatcherServer's reactor timer drives sweep_once(), which must
+  // notice the overdue tasks and requeue them on its own (docs/FAULTS.md).
   RealClock clock;
   obs::Obs obs;
   DispatcherConfig config;
@@ -207,6 +208,8 @@ TEST(Failures, SweeperRecoversLostResponseWithoutManualSweep) {
   config.sweep_interval_s = 0.02;
   config.obs = &obs;
   Dispatcher dispatcher(clock, config);
+  TcpDispatcherServer server(dispatcher, &obs);
+  ASSERT_TRUE(server.start().ok());
   struct NullSink final : ExecutorSink {
     void notify(ExecutorId, std::uint64_t) override {}
   };
@@ -224,7 +227,7 @@ TEST(Failures, SweeperRecoversLostResponseWithoutManualSweep) {
     ASSERT_EQ(work.value().size(), 1u);
   }
 
-  // The healthy executor just polls; the sweeper does the recovery.
+  // The healthy executor just polls; the server's sweep does the recovery.
   int completed = 0;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(20);
@@ -252,6 +255,7 @@ TEST(Failures, SweeperRecoversLostResponseWithoutManualSweep) {
   EXPECT_GT(obs.registry().counter("falkon.dispatcher.sweeps").value(), 0u);
   EXPECT_EQ(obs.registry().counter("falkon.dispatcher.tasks_retried").value(),
             status.retried);
+  server.stop();
   dispatcher.shutdown();
 }
 

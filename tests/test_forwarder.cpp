@@ -28,11 +28,11 @@ InProcFalkon::EngineFactory noop_factory() {
 
 class ForwarderTest : public ::testing::Test {
  protected:
-  void add_cluster(int executors) {
+  void add_cluster(int executors,
+                   const InProcFalkon::EngineFactory& factory = noop_factory()) {
     auto cluster = std::make_unique<InProcFalkon>(clock_, DispatcherConfig{});
     EXPECT_TRUE(
-        cluster->add_executors(executors, noop_factory(), ExecutorOptions{})
-            .ok());
+        cluster->add_executors(executors, factory, ExecutorOptions{}).ok());
     clients_.push_back(&cluster->client());
     clusters_.push_back(std::move(cluster));
   }
@@ -81,7 +81,12 @@ TEST_F(ForwarderTest, AggregatedStatus) {
 }
 
 TEST_F(ForwarderTest, LeastLoadedPrefersIdleCluster) {
-  add_cluster(2);
+  // Cluster 0 really sleeps, so its pre-load is still a backlog when the
+  // forwarder routes (no-op executors could drain it first, tying the
+  // loads).
+  add_cluster(2, [](Clock& clock) {
+    return std::make_unique<SleepEngine>(clock);
+  });
   add_cluster(2);
   Forwarder forwarder(clients_, RoutingPolicy::kLeastLoaded);
   auto session = FalkonSession::open(forwarder, ClientId{1});

@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <set>
 
 #include "common/clock.h"
@@ -123,41 +121,6 @@ TEST_F(TcpStackTest, ErrorsPropagateToRemoteClient) {
   auto bogus = client.value()->submit(InstanceId{999}, sleep_tasks(1));
   ASSERT_FALSE(bogus.ok());
   EXPECT_EQ(bogus.error().code, ErrorCode::kNotFound);
-}
-
-TEST_F(TcpStackTest, ClientNotificationsArriveOnResultDelivery) {
-  add_executor();
-  auto client = TcpDispatcherClient::connect("127.0.0.1", server_->rpc_port());
-  ASSERT_TRUE(client.ok());
-  auto instance = client.value()->create_instance(ClientId{1});
-  ASSERT_TRUE(instance.ok());
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::uint64_t last_ready = 0;
-  TcpResultListener listener;
-  ASSERT_TRUE(listener
-                  .start("127.0.0.1", server_->push_port(), instance.value(),
-                         [&](InstanceId, std::uint64_t ready) {
-                           std::lock_guard lock(mu);
-                           last_ready = std::max(last_ready, ready);
-                           cv.notify_all();
-                         })
-                  .ok());
-  // Let the subscription land before submitting.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-
-  ASSERT_TRUE(client.value()->submit(instance.value(), sleep_tasks(5)).ok());
-  {
-    std::unique_lock lock(mu);
-    cv.wait_for(lock, std::chrono::seconds(5), [&] { return last_ready > 0; });
-    EXPECT_GT(last_ready, 0u);
-  }
-  // Notification-driven pick-up: results are already there, zero timeout.
-  auto results = client.value()->wait_results(instance.value(), 10, 0.0);
-  ASSERT_TRUE(results.ok());
-  EXPECT_FALSE(results.value().empty());
-  listener.stop();
 }
 
 TEST_F(TcpStackTest, PollingModeExecutorNeedsNoPushChannel) {

@@ -140,9 +140,13 @@ TEST(Message, SubmitRequestRoundtripPreservesBundle) {
 TEST(Message, TypeTagsMatchEnum) {
   EXPECT_EQ(message_type(Message{Notify{}}), MsgType::kNotify);
   EXPECT_EQ(message_type(Message{StatusReply{}}), MsgType::kStatusReply);
-  EXPECT_EQ(message_type(Message{ClientNotify{}}), MsgType::kClientNotify);
+  EXPECT_EQ(message_type(Message{WaitResultsReply{}}),
+            MsgType::kWaitResultsReply);
+  EXPECT_EQ(message_type(Message{HeartbeatRequest{}}),
+            MsgType::kHeartbeatRequest);
   EXPECT_EQ(message_type(Message{TaskBundle{}}), MsgType::kTaskBundle);
   EXPECT_EQ(message_type(Message{ResultBundle{}}), MsgType::kResultBundle);
+  EXPECT_EQ(message_type(Message{ResultStream{}}), MsgType::kResultStream);
 }
 
 TEST(Message, TaskBundleRoundtripPreservesSeqAndTasks) {
@@ -192,10 +196,12 @@ TEST(Message, MalformedBufferIsProtocolError) {
 }
 
 TEST(Message, UnknownTypeTagIsProtocolError) {
-  std::vector<std::uint8_t> garbage{0xee};
-  auto decoded = decode_message(garbage);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.error().code, ErrorCode::kProtocolError);
+  // 20 is a retired tag: unknown, like any tag past the end.
+  for (const std::uint8_t tag : {std::uint8_t{0xee}, std::uint8_t{20}}) {
+    auto decoded = decode_message(std::vector<std::uint8_t>{tag, 0, 0});
+    ASSERT_FALSE(decoded.ok()) << int{tag};
+    EXPECT_EQ(decoded.error().code, ErrorCode::kProtocolError);
+  }
 }
 
 /// Property test: every message kind roundtrips through encode/decode for

@@ -68,6 +68,8 @@ int main(int argc, char** argv) {
       static_cast<int>(config.get_int("notify_threads", 4));
   dispatcher_config.max_tasks_per_dispatch = static_cast<std::uint32_t>(
       config.get_int("max_tasks_per_dispatch", 1));
+  // The server's reactor timer drives the whole recovery sweep.
+  dispatcher_config.sweep_interval_s = 0.2;
 
   RealClock clock;
   core::Dispatcher dispatcher(clock, dispatcher_config);
@@ -86,7 +88,6 @@ int main(int argc, char** argv) {
   double last_report = clock.now_s();
   while (!g_stop) {
     clock.sleep_s(0.2);
-    (void)dispatcher.check_replays();
     if (clock.now_s() - last_report >= 10.0) {
       last_report = clock.now_s();
       const auto status = dispatcher.status();
