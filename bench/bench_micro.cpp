@@ -326,8 +326,12 @@ void BM_ConnectionScale(benchmark::State& state) {
       return;
     }
     // The dispatcher notifies one idle executor; wait for whichever push
-    // socket turns readable, then drive that executor's RPC connection.
+    // stream has a frame (already buffered, or its socket turns readable),
+    // then drive that executor's RPC connection.
     int woken = -1;
+    for (int e = 0; e < n && woken < 0; ++e) {
+      if (fleet[e].push.buffered() > 0) woken = e;
+    }
     while (woken < 0) {
       if (::poll(pollfds.data(), pollfds.size(), 5000) <= 0) {
         state.SkipWithError("no notify within 5s");

@@ -121,13 +121,16 @@ if [ "${1:-}" = "tsan" ]; then
   # slowdown blows the time budget without adding new interleavings.)
   # test_failures: recovery sweeps run on the caller's thread in-process
   # and on a reactor loop thread over TCP, racing executor RPC handlers.
+  # test_common: ThreadCache parks and hands out threads across run/wait.
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-        -R 'test_obs|test_dispatcher|test_executor|test_failures|test_stress|test_net$|test_tcp|test_wal|test_ha|test_dataaware'
+        -R 'test_common|test_obs|test_dispatcher|test_executor|test_failures|test_stress|test_net$|test_tcp|test_wal|test_ha|test_dataaware'
   echo "== Sharded-reactor suites under TSan =="
   # The multi-loop paths alone first, so a race report names the shard
   # machinery (accept handoff, set_affinity migration, cross-thread flush
-  # routing, per-loop buffer pools) instead of being buried in the suite.
-  build-ci-tsan/tests/test_net --gtest_filter='Reactor.*:Rpc.AffinityKeyPinsConnectionsToKeyedLoop:Rpc.WatermarkBackpressureIsolatedPerLoop:Rpc.AcceptBackoffRecoversWithShardedLoops:Push.NotifyFromForeignThreadLandsOnOwningLoop'
+  # routing, per-loop buffer pools, write-through sends racing the owning
+  # loop's flush) instead of being buried in the suite.
+  FALKON_REACTOR_LOOPS=2 \
+    build-ci-tsan/tests/test_net --gtest_filter='Reactor.*:WriteThrough.*:Rpc.AffinityKeyPinsConnectionsToKeyedLoop:Rpc.WatermarkBackpressureIsolatedPerLoop:Rpc.AcceptBackoffRecoversWithShardedLoops:Push.NotifyFromForeignThreadLandsOnOwningLoop'
   echo "== Net + TCP suites with 2 reactor loops forced under TSan =="
   # Same forced multi-loop coverage as the ASan stage: the streaming
   # client's receiver thread, the dispatcher's stream drain and two loop

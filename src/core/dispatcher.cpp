@@ -1083,6 +1083,11 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
     if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
   }
 
+  if (out.size() > 1 && bundle_runtime > 0.0) {
+    for (const auto& spec : out) {
+      entry.dispatched[spec.id.value].bundle_runtime_s = bundle_runtime;
+    }
+  }
   if (m_dispatched_ && !out.empty()) {
     m_dispatched_->inc(out.size());
   }
@@ -1525,9 +1530,9 @@ int Dispatcher::check_replays() {
     if (entry->removed) continue;
     std::vector<std::uint64_t> overdue;
     for (const auto& [task_id, task] : entry->dispatched) {
-      const double deadline = task.dispatch_s +
-                              config_.replay.response_timeout_s +
-                              task.spec.estimated_runtime_s;
+      const double deadline =
+          task.dispatch_s + config_.replay.response_timeout_s +
+          std::max(task.spec.estimated_runtime_s, task.bundle_runtime_s);
       if (now >= deadline) overdue.push_back(task_id);
     }
     if (overdue.empty()) continue;

@@ -355,6 +355,10 @@ class Dispatcher {
     ExecutorId executor;
     double enqueue_s{0.0};
     double dispatch_s{0.0};
+    /// Estimated runtime of the whole bundle this task went out in. The
+    /// executor runs a bundle in order and delivers its results together,
+    /// so no task in it can answer before the bundle is done.
+    double bundle_runtime_s{0.0};
     int attempts{0};
     std::vector<std::uint64_t> killers;
   };

@@ -303,6 +303,12 @@ void ExecutorRuntime::work_loop() {
         } else {
           for (auto& t : ack.value()) pending.push_back(std::move(t));
         }
+      } else if (want > 0 && pending.empty()) {
+        // An empty piggy-back is the answer a get_work would get now: the
+        // dispatcher found no work, marked us idle and pumped its
+        // notifications before replying, so anything submitted since
+        // reaches us as a notify. Wait for it instead of polling.
+        break;
       }
     }
 

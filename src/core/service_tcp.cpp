@@ -596,7 +596,7 @@ Result<InstanceId> TcpDispatcherClient::create_instance(ClientId client) {
   // Streaming regime: subscribe the instance on the push channel, then arm
   // the dispatcher's drain with SubscribeResults{ack_seq=0}. Any failure
   // here is absorbed — the instance simply stays in polling mode.
-  auto stream = std::make_shared<Stream>();
+  auto stream = std::make_shared<Stream>(&readers_);
   Status started = stream->receiver.start(
       host_, push_port_, kClientKeyBase + instance.value,
       [weak = std::weak_ptr<Stream>(stream)](const wire::Message& message) {

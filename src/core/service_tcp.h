@@ -319,9 +319,11 @@ class TcpDispatcherClient final : public DispatcherClient {
     /// Serialises SubscribeResults RPCs for this instance: the dispatcher's
     /// cursor protocol assumes acks and resubscribes never interleave.
     std::mutex ack_mu;
-    /// Declared last so its destructor joins the read thread before the
+    /// Declared last so its destructor stops the read loop before the
     /// state above is torn down.
     net::PushReceiver receiver;
+
+    explicit Stream(ThreadCache* readers) : receiver(readers) {}
   };
 
   TcpDispatcherClient(net::RpcClient rpc, std::string host,
@@ -341,6 +343,10 @@ class TcpDispatcherClient final : public DispatcherClient {
   net::RpcClient rpc_;
   std::string host_;
   std::uint16_t push_port_{0};
+  /// Runs the streams' read loops. Instances come and go one session at a
+  /// time, so one parked thread serves them all. Declared before streams_:
+  /// the streams stop their loops before the cache joins its threads.
+  ThreadCache readers_;
   mutable std::mutex streams_mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Stream>> streams_;
 };

@@ -467,10 +467,9 @@ std::shared_ptr<Reactor::Conn> Reactor::adopt(int fd, FrameHandler on_frame,
   conn->on_frame_ = std::move(on_frame);
   conn->on_close_ = std::move(on_close);
   if (loops_.empty()) {
-    ::close(fd);
-    std::lock_guard<std::mutex> lock(conn->mu_);
     conn->dead_ = true;
     conn->fd_ = -1;
+    ::close(fd);
     return conn;
   }
   Loop& loop = loop_for_new_conn();
@@ -491,10 +490,12 @@ std::shared_ptr<Reactor::Conn> Reactor::adopt(int fd, FrameHandler on_frame,
     ev.events = EPOLLIN;
     ev.data.fd = conn->fd_;
     if (::epoll_ctl(loop.epfd, EPOLL_CTL_ADD, conn->fd_, &ev) != 0) {
+      {
+        std::lock_guard<std::mutex> lock(conn->mu_);
+        conn->dead_ = true;
+      }
       ::close(conn->fd_);
       conn->fd_ = -1;
-      std::lock_guard<std::mutex> lock(conn->mu_);
-      conn->dead_ = true;
       return;
     }
     loop.conns[conn->fd_] = conn;
@@ -507,10 +508,10 @@ std::shared_ptr<Reactor::Conn> Reactor::adopt(int fd, FrameHandler on_frame,
     loop_flush(loop, conn);  // sends may have queued before registration
   });
   if (!posted) {
-    ::close(fd);
     std::lock_guard<std::mutex> lock(conn->mu_);
     conn->dead_ = true;
     conn->fd_ = -1;
+    ::close(fd);
   }
   return conn;
 }
@@ -969,14 +970,18 @@ void Reactor::loop_flush(Loop& loop, const std::shared_ptr<Conn>& conn) {
         ++niov;
         off = 0;
       }
-      if (pause_s > 0.0) conn->outbox_.pop_front();
+      if (pause_s > 0.0) {
+        // Set under mu_ together with the pop: a write-through sender that
+        // finds the outbox empty must also see the pause.
+        conn->output_paused_.store(true, std::memory_order_release);
+        conn->outbox_.pop_front();
+      }
     }
     if (pause_s > 0.0) {
       // Fault-injected delay: park the outbox on the timer wheel instead of
       // sleeping a thread. Bytes queued behind the marker wait it out. The
       // timer stays on this loop even if the connection migrates, so the
       // resume goes through request_flush to reach the then-current owner.
-      conn->output_paused_.store(true, std::memory_order_release);
       Timer timer;
       timer.id = next_timer_.fetch_add(1, std::memory_order_relaxed);
       auto ticks = static_cast<std::uint64_t>(pause_s / Loop::kTickS);
@@ -1109,18 +1114,40 @@ Status Reactor::Conn::send_frame(std::uint64_t corr,
 
 Status Reactor::Conn::send_raw(std::vector<std::uint8_t> bytes) {
   bool need_post = false;
+  bool written_through = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (dead_) return make_error(ErrorCode::kClosed, "connection closed");
-    queued_ += bytes.size();
-    OutChunk chunk;
-    chunk.bytes = std::move(bytes);
-    outbox_.push_back(std::move(chunk));
-    if (!flush_requested_) {
-      flush_requested_ = true;
-      need_post = true;
+    std::size_t sent = 0;
+    if (outbox_.empty() && !output_paused_.load(std::memory_order_acquire)) {
+      // Write-through: with nothing queued no loop writev is in flight and
+      // no pause is pending, so this thread may send directly. Holding mu_
+      // keeps concurrent senders' bytes whole and in order, and do_close
+      // sets dead_ under mu_ before closing, so fd_ stays valid here.
+      while (sent < bytes.size()) {
+        const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                                 MSG_DONTWAIT | MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) break;  // EAGAIN or an error: the loop takes over
+        sent += static_cast<std::size_t>(n);
+      }
+    }
+    written_through = sent == bytes.size();
+    if (!written_through) {
+      // The remainder goes to the loop's outbox; a write error resurfaces
+      // in its writev and closes the connection there.
+      queued_ += bytes.size() - sent;
+      if (sent > 0) front_off_ = sent;  // sent > 0 only into an empty outbox
+      OutChunk chunk;
+      chunk.bytes = std::move(bytes);
+      outbox_.push_back(std::move(chunk));
+      if (!flush_requested_) {
+        flush_requested_ = true;
+        need_post = true;
+      }
     }
   }
+  if (written_through) recycle(std::move(bytes));
   if (need_post) reactor_->request_flush(shared_from_this());
   return ok_status();
 }

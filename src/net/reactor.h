@@ -10,11 +10,14 @@
 // pooled buffer allocator, and a disjoint set of connections — no
 // connection is ever touched by two loop threads, so there is no
 // cross-loop mutex traffic on the data path. Reads are decoded
-// incrementally into frames and writes drain from a per-connection outbox
-// of pre-framed chunks. Handlers never run socket syscalls and the loop
-// threads never block — producers enqueue and request a flush through a
-// per-loop pending list + eventfd, completions re-arm EPOLLOUT the same
-// way.
+// incrementally into frames. Writes go straight through: a producer whose
+// connection has nothing queued sends its frame with one non-blocking
+// send() on its own thread, so a reply or push costs no loop wake-up. Only
+// what the socket does not take at once (a full send buffer, a pause
+// marker, output already waiting) lands in a per-connection outbox of
+// pre-framed chunks, which the owning loop drains with gathered writes —
+// producers request that flush through a per-loop pending list + eventfd,
+// completions re-arm EPOLLOUT the same way. The loop threads never block.
 //
 // Connection placement: accepted fds are handed off round-robin, then a
 // server that learns a connection's identity (an executor id, a push
@@ -84,8 +87,8 @@ struct ReactorOptions {
 
 /// Readiness-driven event loops owning sockets, timers, and per-connection
 /// frame state. Servers adopt accepted fds as Conn objects and get called
-/// back with complete frames; everything socket-shaped happens on the
-/// owning loop thread.
+/// back with complete frames; reads, queued-output flushes and closes
+/// happen on the owning loop thread.
 class Reactor {
  public:
   class Conn;
@@ -232,16 +235,20 @@ class Reactor {
 };
 
 /// One adopted connection. Producers (handler pool threads, push callers)
-/// only touch the outbox under its mutex; all socket I/O and frame
-/// assembly happen on the owning loop thread.
+/// write a frame straight to the socket, under the connection mutex, when
+/// the outbox is empty and output is not paused; anything the socket does
+/// not take at once is queued in the outbox for the owning loop. Reads,
+/// frame assembly, queued-output flushes (loop_flush, EPOLLOUT) and the
+/// close all happen on the owning loop thread.
 class Reactor::Conn : public std::enable_shared_from_this<Reactor::Conn> {
  public:
-  /// Queue one framed message (12-byte header + payload) for write.
-  /// kClosed once the connection is dead.
+  /// Send one framed message (12-byte header + payload): written through
+  /// on the calling thread when nothing is queued ahead of it, otherwise
+  /// queued for the loop. kClosed once the connection is dead.
   Status send_frame(std::uint64_t corr, const std::vector<std::uint8_t>& payload);
 
-  /// Queue pre-encoded raw bytes (fault paths write deliberately broken
-  /// frames through this).
+  /// Send pre-encoded raw bytes, same path as send_frame (fault paths
+  /// write deliberately broken frames through this).
   Status send_raw(std::vector<std::uint8_t> bytes);
 
   /// Pin this connection to loops[key % n_loops] and migrate it there if
@@ -297,18 +304,21 @@ class Reactor::Conn : public std::enable_shared_from_this<Reactor::Conn> {
   // ---- producer-shared state (guarded by mu_) ----
   mutable std::mutex mu_;
   std::deque<OutChunk> outbox_;
+  /// Bytes of outbox_.front() already written (by the loop, or by a
+  /// write-through sender that queued the rest).
+  std::size_t front_off_{0};
   std::size_t queued_{0};
   bool dead_{false};
   bool flush_requested_{false};
   bool close_after_flush_{false};
 
-  /// Cleared by the fault injector's pause timer, which may fire on the
-  /// loop that owned the connection when the pause began.
+  /// Set under mu_ when the loop consumes a pause marker; cleared by the
+  /// fault injector's pause timer, which may fire on the loop that owned
+  /// the connection when the pause began.
   std::atomic<bool> output_paused_{false};
 
   // ---- loop-thread-only state (owner loop; handed over through the
   // ops-queue happens-before edge on migration) ----
-  std::size_t front_off_{0};
   bool registered_{false};
   bool closed_{false};
   bool epollout_{false};

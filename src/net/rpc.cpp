@@ -243,8 +243,8 @@ void RpcServer::enqueue_reply(const std::shared_ptr<Reactor::Conn>& conn,
   thread_local wire::Writer scratch;
   wire::encode_message_into(scratch, reply);
   if (fault_ != nullptr) {
-    // Reply-site faults, reactor flavor: the outbox already serialises the
-    // stream, so "frames ahead of the faulted one were logically sent"
+    // Reply-site faults, reactor flavor: the connection already serialises
+    // the stream, so "frames ahead of the faulted one were logically sent"
     // falls out of close_after_flush, and delay becomes a pause marker on
     // the timer wheel instead of a sleeping thread.
     const fault::Outcome outcome = fault_->sample(fault::Site::kRpcReply);
@@ -646,7 +646,11 @@ Status PushReceiver::start(const std::string& host, std::uint16_t port,
       !status.ok()) {
     return status;
   }
-  read_thread_ = std::thread([this] { read_loop(); });
+  if (threads_ != nullptr) {
+    read_ticket_ = threads_->run([this] { read_loop(); });
+  } else {
+    read_thread_ = std::thread([this] { read_loop(); });
+  }
   return ok_status();
 }
 
@@ -654,6 +658,10 @@ void PushReceiver::stop() {
   stopping_.store(true);
   if (stream_) stream_->shutdown();
   if (read_thread_.joinable()) read_thread_.join();
+  if (read_ticket_ != 0) {
+    threads_->wait(read_ticket_);
+    read_ticket_ = 0;
+  }
 }
 
 void PushReceiver::read_loop() {

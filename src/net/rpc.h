@@ -13,8 +13,9 @@
 // falkon::net::Reactor — one epoll loop owns every accepted connection, so
 // a dispatcher holding hundreds of registered executors costs loop + pool
 // threads, not two threads per connection. Handlers run on a shared pool
-// (the loop thread never blocks); replies drain through per-connection
-// outboxes as gathered writes with watermark backpressure.
+// (the loop thread never blocks); a reply is written through by the handler
+// thread when nothing is queued ahead of it, and any backlog drains through
+// the per-connection outbox as gathered writes with watermark backpressure.
 #pragma once
 
 #include <atomic>
@@ -75,7 +76,8 @@ struct RpcServerOptions {
 /// Accepts connections on the reactor and serves framed request/response
 /// exchanges. Connections are reactor-owned Conn objects (no per-connection
 /// threads); requests are decoded and handled on the shared pool, and
-/// replies drain through the connection outbox as coalesced gathered writes.
+/// replies are written through, or coalesced from the connection outbox when
+/// the socket backs up.
 class RpcServer {
  public:
   RpcServer() = default;
@@ -178,7 +180,7 @@ struct PushServerOptions {
 /// subscription frame (a Notify carrying their executor id); afterwards the
 /// dispatcher pushes frames to them by key. Connections are reactor-owned:
 /// the subscription frame is decoded on the loop (no handshake threads) and
-/// pushes drain through the connection outbox, which also serialises the
+/// pushes go out through the connection's send path, which serialises the
 /// stream so concurrent pushes can never interleave bytes mid-frame. A
 /// subscriber whose outbox is past the high watermark has new notifications
 /// shed (falkon.net.push.backpressure_drops) — a lost notification is
@@ -229,12 +231,16 @@ class PushServer {
 };
 
 /// Executor-side notification listener: connects, subscribes, then invokes
-/// a callback for every pushed message on a background thread.
+/// a callback for every pushed message on a background thread — a thread
+/// of its own, or one borrowed from a ThreadCache.
 class PushReceiver {
  public:
   using Callback = std::function<void(const wire::Message&)>;
 
   PushReceiver() = default;
+  /// Run the read loop on a thread from `threads` (which must outlive this
+  /// receiver) instead of starting a thread per start().
+  explicit PushReceiver(ThreadCache* threads) : threads_(threads) {}
   ~PushReceiver();
 
   PushReceiver(const PushReceiver&) = delete;
@@ -250,6 +256,8 @@ class PushReceiver {
   std::shared_ptr<TcpStream> stream_;
   Callback callback_;
   std::thread read_thread_;
+  ThreadCache* threads_{nullptr};
+  ThreadCache::Ticket read_ticket_{0};  // 0: no read loop on threads_
   std::atomic<bool> stopping_{false};
 };
 

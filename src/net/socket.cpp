@@ -115,9 +115,23 @@ Status TcpStream::write_gather(const ConstBuf* bufs, std::size_t count) {
 
 Status TcpStream::read_exact(void* data, std::size_t size) {
   auto* p = static_cast<std::uint8_t*>(data);
-  std::size_t received = 0;
-  while (received < size) {
-    const ssize_t n = ::recv(fd_.get(), p + received, size - received, 0);
+  while (size > 0) {
+    if (read_pos_ < read_end_) {
+      const std::size_t take = std::min(size, read_end_ - read_pos_);
+      std::memcpy(p, read_buf_.get() + read_pos_, take);
+      read_pos_ += take;
+      p += take;
+      size -= take;
+      continue;
+    }
+    // Buffer empty: a large read lands directly, a small one refills.
+    const bool direct = size >= kReadBufferBytes;
+    if (!direct && read_buf_ == nullptr) {
+      read_buf_ = std::make_unique<std::uint8_t[]>(kReadBufferBytes);
+    }
+    std::uint8_t* dst = direct ? p : read_buf_.get();
+    const ssize_t n =
+        ::recv(fd_.get(), dst, direct ? size : kReadBufferBytes, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       return errno_error("recv");
@@ -125,7 +139,13 @@ Status TcpStream::read_exact(void* data, std::size_t size) {
     if (n == 0) {
       return make_error(ErrorCode::kClosed, "peer closed connection");
     }
-    received += static_cast<std::size_t>(n);
+    if (direct) {
+      p += n;
+      size -= static_cast<std::size_t>(n);
+    } else {
+      read_pos_ = 0;
+      read_end_ = static_cast<std::size_t>(n);
+    }
   }
   return ok_status();
 }

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/result.h"
@@ -43,6 +44,12 @@ class FdHandle {
 };
 
 /// Connected TCP stream; implements the framing layer's ByteStream.
+///
+/// Reads are buffered: a read smaller than the buffer refills it with one
+/// recv() and serves later reads from it, so read_frame's header and small
+/// payload cost one syscall per frame, or less when frames arrive back to
+/// back. Reads of at least the buffer size go straight into the caller's
+/// memory. One thread reads at a time; writes are unbuffered.
 class TcpStream final : public wire::ByteStream {
  public:
   TcpStream() = default;
@@ -59,10 +66,18 @@ class TcpStream final : public wire::ByteStream {
 
   [[nodiscard]] bool valid() const { return fd_.valid(); }
   /// Raw descriptor, for poll()-style readiness checks (still owned here).
+  /// poll() cannot see bytes already buffered — check buffered() first.
   [[nodiscard]] int fd() const { return fd_.get(); }
+  /// Bytes received from the socket but not yet handed to read_exact().
+  [[nodiscard]] std::size_t buffered() const { return read_end_ - read_pos_; }
 
  private:
+  static constexpr std::size_t kReadBufferBytes = 4096;
+
   FdHandle fd_;
+  std::unique_ptr<std::uint8_t[]> read_buf_;  // allocated on first small read
+  std::size_t read_pos_{0};
+  std::size_t read_end_{0};
 };
 
 /// Listening socket. Port 0 picks an ephemeral port, readable via port().

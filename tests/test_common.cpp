@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include "common/clock.h"
@@ -121,6 +125,51 @@ TEST(ThreadPool, RunsAllJobsAcrossThreads) {
   pool.shutdown();
   EXPECT_EQ(counter.load(), 100);
   EXPECT_FALSE(pool.submit([] {}).ok());
+}
+
+TEST(ThreadCache, ReusesTheParkedThreadForTheNextJob) {
+  ThreadCache cache;
+  std::thread::id first;
+  std::thread::id second;
+  cache.wait(cache.run([&] { first = std::this_thread::get_id(); }));
+  cache.wait(cache.run([&] { second = std::this_thread::get_id(); }));
+  EXPECT_EQ(first, second);
+  EXPECT_NE(first, std::this_thread::get_id());
+}
+
+TEST(ThreadCache, StartsAThreadWhenNoneIsParked) {
+  ThreadCache cache;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> started{0};
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  auto job = [&](bool block) {
+    return [&, block] {
+      if (block) {
+        started.fetch_add(1);
+        released.wait();
+      }
+      std::lock_guard lock(mu);
+      ids.insert(std::this_thread::get_id());
+    };
+  };
+  // Two jobs that block until both have started need two threads.
+  const auto a = cache.run(job(true));
+  const auto b = cache.run(job(true));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(started.load(), 2);
+  release.set_value();
+  cache.wait(a);
+  cache.wait(b);
+  EXPECT_EQ(ids.size(), 2u);
+  // Both threads are parked again: two more jobs start no third thread.
+  cache.wait(cache.run(job(false)));
+  cache.wait(cache.run(job(false)));
+  EXPECT_EQ(ids.size(), 2u);
 }
 
 TEST(Stats, AccumulatorMoments) {

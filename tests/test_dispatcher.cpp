@@ -227,6 +227,33 @@ TEST_F(DispatcherTest, ReplayTimeoutRequeuesAndDropsLateDuplicate) {
   EXPECT_EQ(results.value().size(), 1u);  // exactly once
 }
 
+TEST_F(DispatcherTest, ReplayDeadlineCoversTheWholeBundle) {
+  // Ten 1 s tasks in one bundle: the executor runs them in order and
+  // delivers all ten results together, so even the first task cannot
+  // answer before ~10 s. Its replay deadline must not fire at its own
+  // runtime plus the timeout (3 s) and re-dispatch a bundle that is
+  // healthy, only once the whole bundle is overdue.
+  DispatcherConfig config;
+  config.replay.response_timeout_s = 2.0;
+  config.max_tasks_per_dispatch = 10;
+  Dispatcher dispatcher(clock_, config);
+  auto instance = dispatcher.create_instance(ClientId{1});
+  wire::RegisterRequest reg;
+  auto executor =
+      dispatcher.register_executor(reg, std::make_shared<RecordingSink>());
+  ASSERT_TRUE(instance.ok() && executor.ok());
+  ASSERT_TRUE(dispatcher.submit(instance.value(), sleep_tasks(1, 10, 1.0)).ok());
+  auto work = dispatcher.get_work(executor.value(), 10);
+  ASSERT_TRUE(work.ok());
+  ASSERT_EQ(work.value().size(), 10u);
+
+  clock_.advance(11.0);  // past any single task's deadline
+  EXPECT_EQ(dispatcher.check_replays(), 0);
+  clock_.advance(1.5);  // past the bundle's 10 s + 2 s
+  EXPECT_EQ(dispatcher.check_replays(), 10);
+  EXPECT_EQ(dispatcher.status().queued, 10u);
+}
+
 TEST_F(DispatcherTest, DeregisterRequeuesInflightTasks) {
   const InstanceId instance = make_instance();
   const ExecutorId executor = add_executor();

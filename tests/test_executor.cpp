@@ -1,12 +1,18 @@
 // Executor runtime and in-process end-to-end tests: the full
 // register/notify/get-work/execute/deliver loop, piggy-backing, idle-timeout
 // self-release (distributed release policy), pre-fetching, and the shell
-// engine.
+// engine. The empty-piggy-back wake-up checks also run over loopback TCP.
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <set>
+#include <thread>
 
 #include "common/clock.h"
 #include "core/client.h"
 #include "core/service.h"
+#include "core/service_tcp.h"
+#include "obs/obs.h"
 
 namespace falkon::core {
 namespace {
@@ -167,6 +173,81 @@ TEST(ExecutorEndToEnd, DispatcherExecutorBundling) {
   auto results = session.value()->run(sleep_tasks(500), 30.0);
   ASSERT_TRUE(results.ok()) << results.error().str();
   EXPECT_EQ(results.value().size(), 500u);
+}
+
+// One executor, one task per round. A delivery whose reply carries no
+// piggy-backed task must send the executor straight to its wake-up wait:
+// no empty get_work (falkon.executor.empty_polls stays at the single
+// startup poll), and a submit landing right behind that delivery still
+// reaches it as a notification. Neither a recovery sweep nor the idle
+// takeover probe runs, so a lost wake-up would surface as a timed-out
+// round and every get_work as an empty poll.
+void expect_no_poll_and_no_lost_wakeup(DispatcherClient& client,
+                                       const obs::Counter& empty_polls) {
+  for (int i = 0; i < 400 && empty_polls.value() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(empty_polls.value(), 1u) << "startup poll on an empty queue";
+
+  auto session = FalkonSession::open(client, ClientId{1});
+  ASSERT_TRUE(session.ok());
+  double slowest_s = 0.0;
+  for (std::uint64_t round = 1; round <= 200; ++round) {
+    std::vector<TaskSpec> one;
+    one.push_back(make_sleep_task(TaskId{round}, 0.0));
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(session.value()->submit(std::move(one)).ok());
+    auto results = session.value()->wait(1, /*deadline_s=*/5.0);
+    ASSERT_TRUE(results.ok()) << "round " << round << ": "
+                              << results.error().str();
+    ASSERT_EQ(results.value().size(), 1u) << "round " << round;
+    slowest_s = std::max(
+        slowest_s, std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
+  }
+  EXPECT_LT(slowest_s, 1.0) << "a round waited far beyond a round trip";
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(empty_polls.value(), 1u)
+      << "get_work issued after a delivery whose piggy-back was empty";
+}
+
+TEST(ExecutorWakeup, EmptyPiggybackWaitsForNotifyInProcess) {
+  RealClock clock;
+  obs::Obs obs;
+  InProcFalkon falkon(clock, DispatcherConfig{});
+  ExecutorOptions options;
+  options.obs = &obs;
+  options.takeover_probe_s = 0.0;
+  ASSERT_TRUE(falkon.add_executors(1, noop_factory(), options).ok());
+  expect_no_poll_and_no_lost_wakeup(
+      falkon.client(), obs.registry().counter("falkon.executor.empty_polls"));
+}
+
+TEST(ExecutorWakeup, EmptyPiggybackWaitsForNotifyOverTcp) {
+  RealClock clock;
+  obs::Obs obs;
+  Dispatcher dispatcher(clock, DispatcherConfig{});
+  TcpDispatcherServer server(dispatcher);
+  ASSERT_TRUE(server.start().ok());
+  ExecutorOptions options;
+  options.obs = &obs;
+  options.takeover_probe_s = 0.0;
+  TcpExecutorHarness executor(clock, "127.0.0.1", server.rpc_port(),
+                              server.push_port(),
+                              std::make_unique<NoopEngine>(), options);
+  ASSERT_TRUE(executor.start().ok());
+  // The push subscription is registered on a reactor loop: drain every
+  // loop (accept handoff, registration, subscribe frame) so the first
+  // notification cannot race ahead of it.
+  for (int i = 0; i < 3; ++i) server.reactor().barrier();
+  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port());
+  ASSERT_TRUE(client.ok());
+  expect_no_poll_and_no_lost_wakeup(
+      *client.value(), obs.registry().counter("falkon.executor.empty_polls"));
+  client.value().reset();
+  executor.stop();
+  server.stop();
 }
 
 TEST(ShellEngine, RunsRealProcessAndCapturesOutput) {

@@ -1,8 +1,10 @@
-// TCP substrate tests: sockets, the reactor event loop, RPC
-// request/response, push notifications, and the watermark backpressure and
-// fd-exhaustion paths of the server side.
+// TCP substrate tests: sockets and their buffered frame reads, the reactor
+// event loop and its write-through sends, RPC request/response, push
+// notifications, and the watermark backpressure and fd-exhaustion paths of
+// the server side.
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/ioctl.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -10,8 +12,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/rpc.h"
@@ -920,6 +925,314 @@ TEST(Push, DropSubscriberSeversChannel) {
   EXPECT_FALSE(server.push(9, wire::Notify{}).ok());
   receiver.stop();
   server.stop();
+}
+
+// ---- buffered frame reads ---------------------------------------------
+
+/// A connected loopback pair of blocking streams.
+void connect_pair(TcpStream& writer, TcpStream& reader) {
+  auto listener = TcpListener::bind(0);
+  ASSERT_TRUE(listener.ok());
+  auto client = TcpStream::connect("127.0.0.1", listener.value().port());
+  ASSERT_TRUE(client.ok());
+  auto accepted = listener.value().accept();
+  ASSERT_TRUE(accepted.ok());
+  writer = client.take();
+  reader = accepted.take();
+}
+
+std::vector<std::uint8_t> pattern_bytes(std::size_t n, std::uint8_t seed) {
+  std::vector<std::uint8_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(seed + i * 7 + (i >> 8));
+  }
+  return out;
+}
+
+TEST(Socket, SmallFramesFromOneSendmsgReadBackOneByOne) {
+  TcpStream writer;
+  TcpStream reader;
+  ASSERT_NO_FATAL_FAILURE(connect_pair(writer, reader));
+  std::vector<wire::PendingFrame> frames;
+  for (std::uint64_t i = 1; i <= 64; ++i) {
+    frames.push_back({i, pattern_bytes(i % 5 == 0 ? 0 : 3 * i,
+                                       static_cast<std::uint8_t>(i))});
+  }
+  std::vector<std::uint8_t> scratch;
+  ASSERT_TRUE(
+      wire::write_frames(writer, frames.data(), frames.size(), scratch).ok());
+  wire::Frame frame;
+  for (const auto& sent : frames) {
+    ASSERT_TRUE(wire::read_frame(reader, frame).ok()) << "frame " << sent.corr;
+    EXPECT_EQ(frame.corr, sent.corr);
+    EXPECT_EQ(frame.payload, sent.payload) << "frame " << sent.corr;
+    // The whole ~6 KiB batch sat in the socket before the first read, so
+    // every frame but the last left later bytes in the read buffer.
+    if (sent.corr == 1) {
+      EXPECT_GT(reader.buffered(), 0u);
+    }
+  }
+  EXPECT_EQ(reader.buffered(), 0u);
+}
+
+TEST(Socket, LargePayloadStraddlingBufferedPrefixArrivesIntact) {
+  TcpStream writer;
+  TcpStream reader;
+  ASSERT_NO_FATAL_FAILURE(connect_pair(writer, reader));
+  std::vector<wire::PendingFrame> frames;
+  frames.push_back({1, pattern_bytes(40, 1)});
+  frames.push_back({2, pattern_bytes(300 * 1024, 2)});
+  frames.push_back({3, pattern_bytes(5, 3)});
+  std::thread send([&] {
+    std::vector<std::uint8_t> scratch;
+    EXPECT_TRUE(
+        wire::write_frames(writer, frames.data(), frames.size(), scratch).ok());
+  });
+  // Let the first refill find far more than the small frame queued.
+  int queued = 0;
+  for (int i = 0; i < 400 && queued < 8192; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(::ioctl(reader.fd(), FIONREAD, &queued), 0);
+  }
+  wire::Frame frame;
+  ASSERT_TRUE(wire::read_frame(reader, frame).ok());
+  EXPECT_EQ(frame.corr, 1u);
+  EXPECT_EQ(frame.payload, frames[0].payload);
+  // The refill after the small frame also took the big frame's header and
+  // the first bytes of its payload; the rest is read straight into place.
+  EXPECT_GT(reader.buffered(), wire::kFrameHeaderBytes);
+  ASSERT_TRUE(wire::read_frame(reader, frame).ok());
+  EXPECT_EQ(frame.corr, 2u);
+  EXPECT_TRUE(frame.payload == frames[1].payload) << "large payload corrupted";
+  ASSERT_TRUE(wire::read_frame(reader, frame).ok());
+  EXPECT_EQ(frame.corr, 3u);
+  EXPECT_EQ(frame.payload, frames[2].payload);
+  send.join();
+}
+
+TEST(Socket, EofMidFrameStillReportsTruncation) {
+  const auto read_after = [](const std::vector<std::uint8_t>& bytes) {
+    TcpStream writer;
+    TcpStream reader;
+    connect_pair(writer, reader);
+    if (!bytes.empty()) {
+      EXPECT_TRUE(writer.write_all(bytes.data(), bytes.size()).ok());
+    }
+    writer = TcpStream();  // close: EOF right after `bytes`
+    wire::Frame frame;
+    return wire::read_frame(reader, frame);
+  };
+  std::vector<std::uint8_t> header(wire::kFrameHeaderBytes);
+  wire::put_frame_header(header.data(), 9, 100);
+
+  // Header promises 100 payload bytes, 10 arrive.
+  std::vector<std::uint8_t> short_payload = header;
+  short_payload.resize(header.size() + 10, 0xab);
+  Status status = read_after(short_payload);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, ErrorCode::kProtocolError);
+  EXPECT_NE(status.error().message.find("truncated"), std::string::npos);
+
+  // Stream ends inside the header.
+  status = read_after({header.begin(), header.begin() + 6});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, ErrorCode::kProtocolError);
+
+  // A clean close at a frame boundary is kClosed, not a truncation.
+  status = read_after({});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, ErrorCode::kClosed);
+}
+
+// ---- write-through sends ----------------------------------------------
+
+/// A two-loop reactor owning one accepted connection, plus the raw client
+/// end of that connection.
+class WriteThrough : public ::testing::Test {
+ protected:
+  void open(int sndbuf_bytes = 0) {
+    reactor_ = std::make_unique<Reactor>(
+        ReactorOptions{.n_loops = 2, .obs = &obs_});
+    ASSERT_TRUE(reactor_->start().ok());
+    auto listener = TcpListener::bind(0);
+    ASSERT_TRUE(listener.ok());
+    listener_ = listener.take();
+    reactor_->add_listener(listener_.fd(), [this, sndbuf_bytes](int fd) {
+      if (sndbuf_bytes > 0) (void)set_send_buffer(fd, sndbuf_bytes);
+      auto conn = reactor_->adopt(
+          fd,
+          [](const std::shared_ptr<Reactor::Conn>&, std::uint64_t,
+             std::vector<std::uint8_t>&&) {},
+          [](const std::shared_ptr<Reactor::Conn>&) {});
+      std::lock_guard<std::mutex> lock(mu_);
+      conn_ = std::move(conn);
+      cv_.notify_all();
+    });
+    auto client = TcpStream::connect("127.0.0.1", listener_.port());
+    ASSERT_TRUE(client.ok());
+    client_ = client.take();
+    std::unique_lock<std::mutex> lock(mu_);
+    ASSERT_TRUE(cv_.wait_for(lock, std::chrono::seconds(5),
+                             [this] { return conn_ != nullptr; }));
+  }
+
+  void TearDown() override {
+    client_ = TcpStream();
+    if (reactor_) {
+      reactor_->remove_listener(listener_.fd());
+      reactor_->stop();
+    }
+  }
+
+  obs::Obs obs_;
+  std::unique_ptr<Reactor> reactor_;
+  TcpListener listener_;
+  TcpStream client_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::shared_ptr<Reactor::Conn> conn_;
+};
+
+TEST_F(WriteThrough, ConcurrentSendersKeepFramesWholeAndInOrder) {
+  // 8 producers write through one connection while its small send buffer
+  // keeps spilling frames into the outbox, which the loop drains (and a
+  // migration between the two loops hands over) mid-stream. Every frame
+  // must arrive whole, and each sender's frames in the order it sent them.
+  constexpr int kSenders = 8;
+  constexpr std::uint32_t kFrames = 2000;
+  ASSERT_NO_FATAL_FAILURE(open(/*sndbuf_bytes=*/4096));
+  const auto payload_for = [](std::uint32_t sender, std::uint32_t seq) {
+    std::vector<std::uint8_t> payload(16 + seq % 97);
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<std::uint8_t>(sender * 31 + seq + i);
+    }
+    return payload;
+  };
+  std::vector<std::thread> senders;
+  for (std::uint32_t sender = 0; sender < kSenders; ++sender) {
+    senders.emplace_back([&, sender] {
+      for (std::uint32_t seq = 0; seq < kFrames; ++seq) {
+        const std::uint64_t corr =
+            (static_cast<std::uint64_t>(sender) << 32) | seq;
+        ASSERT_TRUE(conn_->send_frame(corr, payload_for(sender, seq)).ok());
+      }
+    });
+  }
+  for (std::uint64_t key = 1; key <= 4; ++key) conn_->set_affinity(key);
+  // Read late, so the socket fills and the outbox must carry the rest.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  std::vector<std::uint32_t> next(kSenders, 0);
+  wire::Frame frame;
+  for (std::uint32_t n = 0; n < kSenders * kFrames; ++n) {
+    ASSERT_TRUE(wire::read_frame(client_, frame).ok()) << "frame " << n;
+    const auto sender = static_cast<std::uint32_t>(frame.corr >> 32);
+    const auto seq = static_cast<std::uint32_t>(frame.corr);
+    ASSERT_LT(sender, static_cast<std::uint32_t>(kSenders));
+    ASSERT_EQ(seq, next[sender]) << "sender " << sender << " out of order";
+    ++next[sender];
+    ASSERT_EQ(frame.payload, payload_for(sender, seq))
+        << "sender " << sender << " frame " << seq << " corrupted";
+  }
+  for (auto& thread : senders) thread.join();
+  EXPECT_GE(obs_.registry().counter("falkon.net.frames_coalesced").value(),
+            1u)
+      << "the loop never flushed queued frames";
+}
+
+TEST_F(WriteThrough, PartialDirectWriteFinishesThroughEpollout) {
+  // A reply far larger than the send buffer the RPC server's sndbuf_bytes
+  // knob leaves: the handler thread writes through what fits, the rest is
+  // queued and the loop finishes it on EPOLLOUT.
+  obs::Obs obs;
+  RpcServerOptions options;
+  options.obs = &obs;
+  options.n_loops = 2;
+  options.sndbuf_bytes = 4096;
+  const std::string body(256 * 1024, 'q');
+  RpcServer server;
+  ASSERT_TRUE(server
+                  .start(
+                      [&body](const wire::Message&) -> wire::Message {
+                        wire::WaitResultsReply reply;
+                        TaskResult result;
+                        result.task_id = TaskId{3};
+                        result.stdout_data = body;
+                        reply.results.push_back(std::move(result));
+                        return reply;
+                      },
+                      0, nullptr, options)
+                  .ok());
+  auto stream = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE(wire::write_frame(stream.value(), 5,
+                                wire::encode_message(wire::Notify{}))
+                  .ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  wire::Frame frame;
+  ASSERT_TRUE(wire::read_frame(stream.value(), frame).ok());
+  EXPECT_EQ(frame.corr, 5u);
+  auto reply = wire::decode_message(frame.payload);
+  ASSERT_TRUE(reply.ok());
+  const auto* results = std::get_if<wire::WaitResultsReply>(&reply.value());
+  ASSERT_NE(results, nullptr);
+  ASSERT_EQ(results->results.size(), 1u);
+  EXPECT_TRUE(results->results[0].stdout_data == body);
+  EXPECT_GE(obs.registry()
+                .histogram("falkon.net.reactor.writable_stall_s", 1e-6, 10.0)
+                .count(),
+            1u);
+  server.stop();
+}
+
+TEST_F(WriteThrough, PauseMarkerDelaysFramesQueuedAfterIt) {
+  ASSERT_NO_FATAL_FAILURE(open());
+  const std::vector<std::uint8_t> payload = {1, 2, 3};
+  auto start = std::chrono::steady_clock::now();
+  const auto elapsed_s = [&start] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  wire::Frame frame;
+
+  // The marker already consumed: two barriers let the loop take it and
+  // park the connection, leaving the outbox empty — a send now must still
+  // wait out the pause instead of writing through.
+  ASSERT_TRUE(conn_->send_frame(1, payload).ok());
+  conn_->pause_output(0.3);
+  reactor_->barrier();
+  reactor_->barrier();
+  ASSERT_TRUE(conn_->send_frame(2, payload).ok());
+  ASSERT_TRUE(wire::read_frame(client_, frame).ok());
+  EXPECT_EQ(frame.corr, 1u);
+  EXPECT_LT(elapsed_s(), 0.25) << "the frame ahead of the marker waited";
+  ASSERT_TRUE(wire::read_frame(client_, frame).ok());
+  EXPECT_EQ(frame.corr, 2u);
+  EXPECT_GE(elapsed_s(), 0.28) << "write-through skipped a parked pause";
+
+  // The marker still queued: the frame behind it waits too.
+  start = std::chrono::steady_clock::now();
+  conn_->pause_output(0.3);
+  ASSERT_TRUE(conn_->send_frame(3, payload).ok());
+  ASSERT_TRUE(wire::read_frame(client_, frame).ok());
+  EXPECT_EQ(frame.corr, 3u);
+  EXPECT_GE(elapsed_s(), 0.28) << "write-through skipped a queued marker";
+}
+
+TEST_F(WriteThrough, SendAfterCloseReturnsClosedAndWritesNothing) {
+  ASSERT_NO_FATAL_FAILURE(open());
+  const std::vector<std::uint8_t> payload = {9, 9};
+  conn_->close();
+  Status status = conn_->send_frame(1, payload);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, ErrorCode::kClosed);
+  EXPECT_EQ(conn_->send_raw({1, 2, 3}).error().code, ErrorCode::kClosed);
+  // The peer sees a clean EOF with not one byte before it.
+  wire::Frame frame;
+  status = wire::read_frame(client_, frame);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, ErrorCode::kClosed);
+  EXPECT_EQ(client_.buffered(), 0u);
 }
 
 }  // namespace

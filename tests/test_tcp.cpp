@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <set>
+#include <string>
 
 #include "common/clock.h"
 #include "core/client.h"
@@ -362,6 +364,46 @@ TEST_F(TcpStackTest, StreamingClientReceivesResultsExactlyOnce) {
   EXPECT_EQ(ids.size(), 50u);
   EXPECT_TRUE(client.value()->streaming(instance.value()));
   EXPECT_TRUE(client.value()->destroy_instance(instance.value()).ok());
+}
+
+std::set<std::string> thread_ids() {
+  std::set<std::string> ids;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(entry.path().filename().string());
+  }
+  return ids;
+}
+
+// A streaming instance's results are read on a thread the client keeps:
+// instances created and destroyed one after another reuse it, so each
+// session starts no thread of its own.
+TEST_F(TcpStackTest, StreamingInstancesReuseOneReaderThread) {
+  add_executor();
+  auto client = TcpDispatcherClient::connect("127.0.0.1", server_->rpc_port(),
+                                             server_->push_port());
+  ASSERT_TRUE(client.ok());
+  std::set<std::string> first_round;
+  for (int round = 0; round < 5; ++round) {
+    auto instance = client.value()->create_instance(ClientId{1});
+    ASSERT_TRUE(instance.ok());
+    ASSERT_TRUE(client.value()->streaming(instance.value()));
+    ASSERT_TRUE(client.value()->submit(instance.value(), sleep_tasks(10)).ok());
+    std::size_t received = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (received < 10 && std::chrono::steady_clock::now() < deadline) {
+      auto batch = client.value()->wait_results(instance.value(), 64, 0.5);
+      ASSERT_TRUE(batch.ok()) << batch.error().str();
+      received += batch.value().size();
+    }
+    EXPECT_EQ(received, 10u) << "round " << round;
+    if (round == 0) {
+      first_round = thread_ids();
+    } else {
+      EXPECT_EQ(thread_ids(), first_round) << "round " << round;
+    }
+    ASSERT_TRUE(client.value()->destroy_instance(instance.value()).ok());
+  }
 }
 
 TEST_F(TcpStackTest, StreamingSessionRunCompletes) {
