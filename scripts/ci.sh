@@ -130,7 +130,19 @@ if [ "${1:-}" = "tsan" ]; then
   # routing, per-loop buffer pools, write-through sends racing the owning
   # loop's flush) instead of being buried in the suite.
   FALKON_REACTOR_LOOPS=2 \
-    build-ci-tsan/tests/test_net --gtest_filter='Reactor.*:WriteThrough.*:Rpc.AffinityKeyPinsConnectionsToKeyedLoop:Rpc.WatermarkBackpressureIsolatedPerLoop:Rpc.AcceptBackoffRecoversWithShardedLoops:Push.NotifyFromForeignThreadLandsOnOwningLoop'
+    build-ci-tsan/tests/test_net --gtest_filter='Reactor.*:WriteThrough.*:Rpc.AffinityKeyPinsConnectionsToKeyedLoop:Rpc.WatermarkBackpressureIsolatedPerLoop:Rpc.AcceptBackoffRecoversWithShardedLoops:Push.NotifyFromForeignThreadLandsOnOwningLoop:Rpc.RunOnLoopServesAdmittedRequestsPastABusyPool:Push.ReceiverRestartedAfterStopGetsFrames'
+  echo "== Loop-thread handlers and inline notifies under TSan =="
+  # Small requests are answered on the loop that read them, and executor
+  # notifies go out on the thread that made work available, so one loop
+  # thread writes replies, pushes and notifies to connections another loop
+  # owns. Run the tests for that path with two loops in both accept modes.
+  for reuseport in 0 1; do
+    FALKON_REACTOR_LOOPS=2 FALKON_REUSEPORT=$reuseport \
+      build-ci-tsan/tests/test_tcp --gtest_filter='TcpLoopHandlers.*:TcpStackTest.*'
+    FALKON_REACTOR_LOOPS=2 FALKON_REUSEPORT=$reuseport \
+      build-ci-tsan/tests/test_ha --gtest_filter='HaClient.StreamedInstanceGetsResultsOnTheStream'
+  done
+  build-ci-tsan/tests/test_dispatcher --gtest_filter='DispatcherTest.NotificationSentWhenWorkArrives'
   echo "== Net + TCP suites with 2 reactor loops forced under TSan =="
   # Same forced multi-loop coverage as the ASan stage: the streaming
   # client's receiver thread, the dispatcher's stream drain and two loop

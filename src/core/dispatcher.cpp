@@ -833,9 +833,7 @@ void Dispatcher::pump_notifications() {
               fault::Action::kDrop) {
         continue;
       }
-      (void)notify_pool_.submit([sink, id] {
-        if (sink) sink->notify(id, id.value);
-      });
+      if (sink) sink->notify(id, id.value);
     }
     return;
   }
@@ -896,10 +894,9 @@ void Dispatcher::pump_notifications() {
       // piggy-backed ack can recover it.
       continue;
     }
-    // The notification itself happens on the engine's thread pool {3}.
-    (void)notify_pool_.submit([sink, id] {
-      if (sink) sink->notify(id, id.value);
-    });
+    // The notification {3} goes out on this thread: sinks never block
+    // (see ExecutorSink), so a pool hop would only add a wake-up.
+    if (sink) sink->notify(id, id.value);
   }
 }
 
@@ -1600,9 +1597,7 @@ void Dispatcher::renotify_stale() {
     to_notify.emplace_back(entry->sink, entry->id);
   }
   for (auto& [sink, executor_id] : to_notify) {
-    (void)notify_pool_.submit([sink, executor_id] {
-      if (sink) sink->notify(executor_id, executor_id.value);
-    });
+    if (sink) sink->notify(executor_id, executor_id.value);
   }
 }
 

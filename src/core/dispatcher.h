@@ -56,8 +56,9 @@ namespace falkon::core {
 using wire::kReleaseResourceKey;
 
 struct DispatcherConfig {
-  /// Threads in the notification engine (paper: "a pool of threads operate
-  /// to send out notifications").
+  /// Threads in the pool that drains mailboxes to streaming clients
+  /// (ClientSink). Executor notifications no longer use it: they go out
+  /// on the thread that made work available (see ExecutorSink).
   int notify_threads{4};
   ReplayPolicy replay;
   /// Piggy-back new tasks on result acknowledgements (section 3.4).
@@ -156,6 +157,11 @@ struct DispatcherStatus {
 class ExecutorSink {
  public:
   virtual ~ExecutorSink() = default;
+  /// Called on whichever thread made the executor's work available — a
+  /// submitting client, another executor's exchange, the recovery sweep —
+  /// and over TCP that may be a reactor loop thread. It must not block
+  /// (take only leaf locks, never wait on I/O) and must not call back into
+  /// the dispatcher. Dispatcher locks are not held during the call.
   virtual void notify(ExecutorId id, std::uint64_t resource_key) = 0;
 
   /// Called after the dispatcher has unlinked `id` (deregistration, failure
@@ -301,6 +307,10 @@ class Dispatcher {
   [[nodiscard]] std::size_t executor_shard_count() const {
     return shard_count_;
   }
+
+  /// True when a StateJournal is attached: submit and create_instance then
+  /// wait in its barrier() before they return.
+  [[nodiscard]] bool journaled() const { return config_.journal != nullptr; }
 
   /// Replay policy enforcement: requeue dispatched tasks whose response
   /// timeout elapsed; tasks already out of retry budget are failed
@@ -558,6 +568,7 @@ class Dispatcher {
   /// the whole registry per notification (which is quadratic in fleet size
   /// when draining a deep queue).
   bool policy_first_idle_{false};
+  /// Runs scheduled stream drains (schedule_drain_locked) only.
   ThreadPool notify_pool_;
 
   // Observability handles, resolved once at construction; all null when

@@ -20,8 +20,9 @@ LocalExecutorHarness::LocalExecutorHarness(Clock& clock, Dispatcher& dispatcher,
 
 LocalExecutorHarness::~LocalExecutorHarness() {
   runtime_->stop();
-  // Disconnect the sink before the runtime is destroyed: a notification job
-  // still queued in the dispatcher's notify pool will find a null target.
+  // Disconnect the sink before the runtime is destroyed: a notification
+  // sent meanwhile from another thread (a submit, the sweep) will find a
+  // null target.
   std::lock_guard lock(target_->mu);
   target_->runtime = nullptr;
 }

@@ -24,6 +24,39 @@ Result<Expected> expect(Result<wire::Message> reply) {
   return std::move(*payload);
 }
 
+/// Largest request payload served on the reactor loop that read it (see
+/// loop_request below). Larger frames — bulk submits, batch result bundles
+/// — decode on the handler pool so they never stall a loop's other
+/// connections.
+constexpr std::size_t kLoopRequestMaxBytes = 4096;
+
+/// Requests whose handler never blocks, by wire type tag: the executor
+/// exchange, heartbeats, stream acks and status. A submit waits in the
+/// journal barrier when the dispatcher is journaled, so it stays on the
+/// pool then. The per-transition journal hooks do not disqualify the rest:
+/// they run under dispatcher locks wherever they run, so a slow append (a
+/// synchronous ha::Journal's fsync) stalls the dispatch path either way.
+/// Everything else — wait_results (long-poll), registration, instance
+/// lifecycle, replication, election and data-plane requests — stays on the
+/// pool.
+bool loop_request(std::uint8_t tag, std::size_t bytes, bool journaled) {
+  using wire::MsgType;
+  if (bytes > kLoopRequestMaxBytes) return false;
+  switch (static_cast<MsgType>(tag)) {
+    case MsgType::kGetWorkRequest:
+    case MsgType::kResultBundle:
+    case MsgType::kResultRequest:
+    case MsgType::kHeartbeatRequest:
+    case MsgType::kSubscribeResults:
+    case MsgType::kStatusRequest:
+      return true;
+    case MsgType::kSubmitRequest:
+      return !journaled;
+    default:
+      return false;
+  }
+}
+
 /// Resolve the reactor_loops knob against the dispatcher's shard count.
 /// Auto (0) spends one loop per hardware thread — extra loops on a smaller
 /// host are pure context-switch overhead — and never exceeds the shard
@@ -92,10 +125,14 @@ Status TcpDispatcherServer::start(std::uint16_t rpc_port,
   client_sink_ = std::make_shared<ClientPushSink>(push_);
   dispatcher_.set_client_sink(client_sink_);
   // A shared handler pool keeps slow/blocking handlers (wait_results with a
-  // timeout) from stalling pipelined calls on the same connection; the
-  // reactor loop itself never runs handlers.
+  // timeout) from stalling pipelined calls on the same connection; small
+  // requests that never block skip that hop and run on the loop.
   net::RpcServerOptions options;
   options.handler_threads = 16;
+  options.run_on_loop = [journaled = dispatcher_.journaled()](
+                            std::uint8_t tag, std::size_t bytes) {
+    return loop_request(tag, bytes, journaled);
+  };
   options.obs = obs_;
   options.reactor = &reactor_;
   // Pin each executor's RPC connection to its shard's loop as soon as a

@@ -234,12 +234,13 @@ class Reactor {
   obs::Gauge* m_connections_{nullptr};
 };
 
-/// One adopted connection. Producers (handler pool threads, push callers)
-/// write a frame straight to the socket, under the connection mutex, when
-/// the outbox is empty and output is not paused; anything the socket does
-/// not take at once is queued in the outbox for the owning loop. Reads,
-/// frame assembly, queued-output flushes (loop_flush, EPOLLOUT) and the
-/// close all happen on the owning loop thread.
+/// One adopted connection. Producers (handler threads, push callers, a
+/// loop thread answering a request inline) write a frame straight to the
+/// socket, under the connection mutex, when the outbox is empty and output
+/// is not paused; anything the socket does not take at once is queued in
+/// the outbox for the owning loop. Reads, frame assembly, queued-output
+/// flushes (loop_flush, EPOLLOUT) and the close all happen on the owning
+/// loop thread.
 class Reactor::Conn : public std::enable_shared_from_this<Reactor::Conn> {
  public:
   /// Send one framed message (12-byte header + payload): written through

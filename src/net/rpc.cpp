@@ -100,11 +100,13 @@ Status RpcServer::start(RpcHandler handler, std::uint16_t port,
   listener_ = listener.take();
   handler_ = std::move(handler);
   affinity_key_ = std::move(options.affinity_key);
+  run_on_loop_ = std::move(options.run_on_loop);
   fault_ = fault;
   sndbuf_bytes_ = options.sndbuf_bytes;
-  // Handlers may block (wait_results); they always run off-loop, so even
-  // handler_threads == 0 gets one worker — that also preserves strict FIFO
-  // handling, which several protocol tests rely on.
+  // Handlers may block (wait_results); every request run_on_loop does not
+  // admit runs off-loop, so even handler_threads == 0 gets one worker —
+  // that also preserves strict FIFO handling, which several protocol tests
+  // rely on.
   pool_ = std::make_unique<ThreadPool>(std::max<std::size_t>(1, options.handler_threads),
                                        "rpc");
   if (options.reactor != nullptr) {
@@ -200,29 +202,43 @@ void RpcServer::on_accept(int fd) {
 void RpcServer::on_frame(const std::shared_ptr<Reactor::Conn>& conn,
                          std::uint64_t corr,
                          std::vector<std::uint8_t>&& payload) {
+  if (run_on_loop_ && !payload.empty() &&
+      run_on_loop_(payload[0], payload.size())) {
+    // Small non-blocking request: handling it here costs less than waking a
+    // pool thread for it, and the loop's other connections wait only as
+    // long as the handler runs.
+    serve(conn, corr, std::move(payload));
+    return;
+  }
   // Decode on the pool too: a large TaskBundle deserialisation would
   // otherwise stall every other connection on this loop.
   auto submitted =
-      pool_->submit([this, conn, corr, payload = std::move(payload)] mutable {
-        auto request = wire::decode_message(payload);
-        // Decoding deep-copies; the raw buffer can go back to the pool now.
-        conn->recycle(std::move(payload));
-        if (!request.ok()) {
-          enqueue_reply(conn, corr,
-                        wire::ErrorReply{ErrorCode::kProtocolError,
-                                         request.error().message});
-          return;
-        }
-        if (affinity_key_) {
-          // Pin the connection to the loop that owns this executor's shard.
-          // A no-op once the connection is already there, so calling per
-          // request costs one atomic load.
-          const std::uint64_t key = affinity_key_(request.value());
-          if (key != 0) conn->set_affinity(key);
-        }
-        enqueue_reply(conn, corr, handler_(request.value()));
+      pool_->submit([this, conn, corr, payload = std::move(payload)]() mutable {
+        serve(conn, corr, std::move(payload));
       });
   if (!submitted.ok()) conn->close();  // pool closed: server stopping
+}
+
+void RpcServer::serve(const std::shared_ptr<Reactor::Conn>& conn,
+                      std::uint64_t corr,
+                      std::vector<std::uint8_t>&& payload) {
+  auto request = wire::decode_message(payload);
+  // Decoding deep-copies; the raw buffer can go back to the pool now.
+  conn->recycle(std::move(payload));
+  if (!request.ok()) {
+    enqueue_reply(conn, corr,
+                  wire::ErrorReply{ErrorCode::kProtocolError,
+                                   request.error().message});
+    return;
+  }
+  if (affinity_key_) {
+    // Pin the connection to the loop that owns this executor's shard. A
+    // no-op once the connection is already there, so calling per request
+    // costs one atomic load.
+    const std::uint64_t key = affinity_key_(request.value());
+    if (key != 0) conn->set_affinity(key);
+  }
+  enqueue_reply(conn, corr, handler_(request.value()));
 }
 
 void RpcServer::on_close(const std::shared_ptr<Reactor::Conn>& conn) {
@@ -633,6 +649,9 @@ PushReceiver::~PushReceiver() { stop(); }
 
 Status PushReceiver::start(const std::string& host, std::uint16_t port,
                            std::uint64_t key, Callback callback) {
+  // A receiver may be restarted after stop() (a failover client resubscribes
+  // this way); the new read loop must not see the old stop request.
+  stopping_.store(false);
   auto stream = TcpStream::connect(host, port);
   if (!stream.ok()) return stream.error();
   stream_ = std::make_shared<TcpStream>(stream.take());

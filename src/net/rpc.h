@@ -12,10 +12,12 @@
 // demuxes replies to per-call waiters. The server side runs on the
 // falkon::net::Reactor — one epoll loop owns every accepted connection, so
 // a dispatcher holding hundreds of registered executors costs loop + pool
-// threads, not two threads per connection. Handlers run on a shared pool
-// (the loop thread never blocks); a reply is written through by the handler
-// thread when nothing is queued ahead of it, and any backlog drains through
-// the per-connection outbox as gathered writes with watermark backpressure.
+// threads, not two threads per connection. Handlers run on a shared pool,
+// except requests the server's `run_on_loop` predicate admits (small ones
+// whose handler never blocks), which are handled on the loop thread that
+// read them. A reply is written through by the thread that produced it when
+// nothing is queued ahead of it, and any backlog drains through the
+// per-connection outbox as gathered writes with watermark backpressure.
 #pragma once
 
 #include <atomic>
@@ -43,9 +45,17 @@ struct RpcServerOptions {
   /// Handler pool size. 0 means one shared handler thread (strict FIFO
   /// through a single worker, what unit tests expect); N > 0 gives a pool
   /// of N so a blocking handler (wait_results) cannot stall pipelined
-  /// calls behind it and replies genuinely reorder. Handlers never run on
-  /// the reactor loop thread.
+  /// calls behind it and replies genuinely reorder. Every request the
+  /// run_on_loop predicate does not admit runs here.
   std::size_t handler_threads{0};
+  /// Optional: given a request frame's type tag (payload[0]) and payload
+  /// size, before decode, return true to decode, handle and reply on the
+  /// reactor loop thread that read the frame instead of hopping to the
+  /// pool. Admit only requests whose handler never blocks — while it runs,
+  /// every other connection on that loop waits. Unset: all requests go to
+  /// the pool.
+  std::function<bool(std::uint8_t type_tag, std::size_t payload_bytes)>
+      run_on_loop;
   /// Optional metrics sink (falkon.net.frames_coalesced plus the
   /// falkon.net.reactor.* family when the server owns its reactor).
   obs::Obs* obs{nullptr};
@@ -75,9 +85,10 @@ struct RpcServerOptions {
 
 /// Accepts connections on the reactor and serves framed request/response
 /// exchanges. Connections are reactor-owned Conn objects (no per-connection
-/// threads); requests are decoded and handled on the shared pool, and
-/// replies are written through, or coalesced from the connection outbox when
-/// the socket backs up.
+/// threads); requests are decoded and handled on the shared pool (or on the
+/// loop, when RpcServerOptions::run_on_loop admits them), and replies are
+/// written through, or coalesced from the connection outbox when the socket
+/// backs up.
 class RpcServer {
  public:
   RpcServer() = default;
@@ -103,6 +114,10 @@ class RpcServer {
   void on_accept(int fd);
   void on_frame(const std::shared_ptr<Reactor::Conn>& conn,
                 std::uint64_t corr, std::vector<std::uint8_t>&& payload);
+  /// Decode one request, pin the connection's affinity, run the handler
+  /// and send its reply — on the pool, or inline on the loop.
+  void serve(const std::shared_ptr<Reactor::Conn>& conn, std::uint64_t corr,
+             std::vector<std::uint8_t>&& payload);
   void on_close(const std::shared_ptr<Reactor::Conn>& conn);
   void enqueue_reply(const std::shared_ptr<Reactor::Conn>& conn,
                      std::uint64_t corr, const wire::Message& reply);
@@ -113,6 +128,7 @@ class RpcServer {
   std::vector<TcpListener> siblings_;
   RpcHandler handler_;
   std::function<std::uint64_t(const wire::Message&)> affinity_key_;
+  std::function<bool(std::uint8_t, std::size_t)> run_on_loop_;
   fault::FaultInjector* fault_{nullptr};
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Reactor> owned_reactor_;

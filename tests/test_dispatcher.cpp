@@ -7,7 +7,10 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/clock.h"
 #include "core/dispatcher.h"
@@ -107,15 +110,26 @@ TEST_F(DispatcherTest, SubmitGetWorkDeliverRoundtrip) {
 }
 
 TEST_F(DispatcherTest, NotificationSentWhenWorkArrives) {
-  auto sink = std::make_shared<RecordingSink>();
-  add_executor(sink);
+  // The notify goes out on the submitting thread, before submit returns.
+  struct ThreadRecordingSink final : ExecutorSink {
+    std::mutex mu;
+    std::vector<std::pair<std::uint64_t, std::thread::id>> calls;
+    void notify(ExecutorId id, std::uint64_t) override {
+      std::lock_guard lock(mu);
+      calls.emplace_back(id.value, std::this_thread::get_id());
+    }
+  };
+  auto sink = std::make_shared<ThreadRecordingSink>();
+  wire::RegisterRequest request;
+  request.host = "test";
+  auto executor = dispatcher_.register_executor(request, sink);
+  ASSERT_TRUE(executor.ok());
   const InstanceId instance = make_instance();
   ASSERT_TRUE(dispatcher_.submit(instance, sleep_tasks(1, 1)).ok());
-  // The notification engine is asynchronous (thread pool).
-  for (int i = 0; i < 200 && sink->notifications.load() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_GE(sink->notifications.load(), 1);
+  std::lock_guard lock(sink->mu);
+  ASSERT_EQ(sink->calls.size(), 1u);
+  EXPECT_EQ(sink->calls[0].first, executor.value().value);
+  EXPECT_EQ(sink->calls[0].second, std::this_thread::get_id());
 }
 
 TEST_F(DispatcherTest, PiggybackDeliversNextTaskWithAck) {

@@ -418,7 +418,7 @@ TEST(Failures, RenotifySweepRecoversLostNotification) {
   ASSERT_TRUE(instance.ok() && executor.ok());
 
   ASSERT_TRUE(dispatcher.submit(instance.value(), sleep_tasks(1)).ok());
-  // The first notification goes out via the notify pool; wait for it.
+  // The first notification goes out on the submitting thread.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (sink->notifies.load() < 1 &&

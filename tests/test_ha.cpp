@@ -515,6 +515,62 @@ TEST(HaClient, ResyncsEpochAfterFenceRejection) {
   server.stop();
 }
 
+TEST(HaClient, StreamedInstanceGetsResultsOnTheStream) {
+  // create_instance stops and restarts the instance's push receiver; the
+  // restarted receiver must deliver the pushed ResultStream frames. If it
+  // dropped them, every wait would sit out its full timeout and then pick
+  // the results up through the one-shot poll fallback.
+  constexpr std::uint64_t kTasks = 50;
+  constexpr double kWaitTimeoutS = 10.0;
+  RealClock clock;
+  obs::Obs obs;
+  DispatcherConfig config;
+  config.obs = &obs;
+  Dispatcher dispatcher(clock, config);
+  TcpDispatcherServer server(dispatcher, &obs);
+  ASSERT_TRUE(server.start().ok());
+  TcpExecutorHarness executor(clock, "127.0.0.1", server.rpc_port(),
+                              server.push_port(),
+                              std::make_unique<core::NoopEngine>(),
+                              ExecutorOptions{});
+  ASSERT_TRUE(executor.start().ok());
+
+  FailoverClientOptions copts;
+  copts.rpc_port = server.rpc_port();
+  copts.push_port = server.push_port();
+  FailoverClient client(copts);
+  auto instance = client.create_instance(ClientId{1});
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(client.streaming(instance.value()));
+  ASSERT_TRUE(client.submit(instance.value(), sleep_tasks(kTasks, 0.0)).ok());
+
+  std::set<std::uint64_t> got;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (got.size() < kTasks && std::chrono::steady_clock::now() < deadline) {
+    const auto start = std::chrono::steady_clock::now();
+    auto batch = client.wait_results(instance.value(), kTasks, kWaitTimeoutS);
+    const double waited_s = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+    ASSERT_TRUE(batch.ok()) << batch.error().str();
+    EXPECT_LT(waited_s, kWaitTimeoutS / 2)
+        << "results arrived through the poll fallback, not the stream";
+    for (const auto& result : batch.value()) got.insert(result.task_id.value);
+  }
+  EXPECT_EQ(got.size(), kTasks);
+  // The drain counts a frame once the push returns, which can be after the
+  // client already holds its results.
+  obs::Counter& pushed =
+      obs.registry().counter("falkon.dispatcher.stream.results_pushed");
+  for (int i = 0; i < 500 && pushed.value() < kTasks; ++i) nap_ms(10);
+  EXPECT_GE(pushed.value(), kTasks);
+
+  executor.stop();
+  server.stop();
+  dispatcher.shutdown();
+}
+
 // ---- election: chained replication and split-brain -------------------------
 
 std::uint16_t reserve_port() {

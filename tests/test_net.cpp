@@ -927,6 +927,100 @@ TEST(Push, DropSubscriberSeversChannel) {
   server.stop();
 }
 
+TEST(Push, ReceiverRestartedAfterStopGetsFrames) {
+  // A failover client restarts its receiver on every resubscribe; the
+  // restarted read loop must deliver frames, not exit on the old stop.
+  PushServer server;
+  ASSERT_TRUE(server.start().ok());
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::uint64_t> received;
+  const auto on_frame = [&](const wire::Message& message) {
+    if (const auto* notify = std::get_if<wire::Notify>(&message)) {
+      std::lock_guard lock(mu);
+      received.push_back(notify->resource_key);
+      cv.notify_all();
+    }
+  };
+  PushReceiver receiver;
+  ASSERT_TRUE(receiver.start("127.0.0.1", server.port(), 5, on_frame).ok());
+  receiver.stop();
+  for (int i = 0; i < 100 && server.subscriber_count() != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(receiver.start("127.0.0.1", server.port(), 5, on_frame).ok());
+  for (int i = 0; i < 100 && server.subscriber_count() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server.subscriber_count(), 1u);
+
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    ASSERT_TRUE(server.push(5, wire::Notify{ExecutorId{5}, k}).ok());
+  }
+  {
+    std::unique_lock lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(5),
+                [&] { return received.size() == 3; });
+    EXPECT_EQ(received, (std::vector<std::uint64_t>{1, 2, 3}));
+  }
+  receiver.stop();
+  server.stop();
+}
+
+TEST(Rpc, RunOnLoopServesAdmittedRequestsPastABusyPool) {
+  // One pool worker, held by a slow request. A request the run_on_loop
+  // predicate admits is answered on the loop meanwhile; one it rejects
+  // queues behind the slow one.
+  std::mutex mu;
+  std::vector<std::uint8_t> tags;
+  RpcServerOptions options;
+  options.run_on_loop = [&](std::uint8_t tag, std::size_t bytes) {
+    EXPECT_GT(bytes, 0u);
+    std::lock_guard lock(mu);
+    tags.push_back(tag);
+    return static_cast<wire::MsgType>(tag) == wire::MsgType::kStatusRequest;
+  };
+  RpcServer server;
+  ASSERT_TRUE(server
+                  .start(
+                      [](const wire::Message& request) -> wire::Message {
+                        if (std::get_if<wire::Notify>(&request) != nullptr) {
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(500));
+                        }
+                        return wire::StatusReply{};
+                      },
+                      0, nullptr, options)
+                  .ok());
+  auto slow_client = RpcClient::connect("127.0.0.1", server.port());
+  auto client = RpcClient::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(slow_client.ok());
+  ASSERT_TRUE(client.ok());
+
+  std::thread slow([&] {
+    EXPECT_TRUE(slow_client.value().call(wire::Notify{}).ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  using Ms = std::chrono::duration<double, std::milli>;
+  auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.value().call(wire::StatusRequest{}).ok());
+  EXPECT_LT(Ms(std::chrono::steady_clock::now() - start).count(), 200.0);
+
+  start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.value().call(wire::Notify{}).ok());
+  // Waited for the slow call's worker, then slept its own 500 ms.
+  EXPECT_GT(Ms(std::chrono::steady_clock::now() - start).count(), 700.0);
+  slow.join();
+  {
+    std::lock_guard lock(mu);
+    EXPECT_EQ(tags, (std::vector<std::uint8_t>{
+                        static_cast<std::uint8_t>(wire::MsgType::kNotify),
+                        static_cast<std::uint8_t>(wire::MsgType::kStatusRequest),
+                        static_cast<std::uint8_t>(wire::MsgType::kNotify)}));
+  }
+  server.stop();
+}
+
 // ---- buffered frame reads ---------------------------------------------
 
 /// A connected loopback pair of blocking streams.

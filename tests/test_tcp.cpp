@@ -3,10 +3,14 @@
 // bind port 0 (ephemeral), so the binary is safe under parallel ctest.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/clock.h"
 #include "core/client.h"
@@ -497,6 +501,129 @@ TEST(TcpReuseport, FullStackServesFromKernelBalancedListeners) {
   EXPECT_EQ(ids.size(), 200u);
 
   pool.clear();
+  server.stop();
+  dispatcher.shutdown();
+}
+
+// ---- which handlers run on the reactor loop -----------------------------
+
+/// Milliseconds a raw call takes; the reply must be of type `Expected`.
+template <class Expected>
+double call_ms(net::RpcClient& rpc, const wire::Message& request) {
+  const auto start = std::chrono::steady_clock::now();
+  (void)call_expect<Expected>(rpc, request);
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Register one executor and create one client instance over `rpc`.
+std::pair<ExecutorId, InstanceId> register_and_create(net::RpcClient& rpc) {
+  wire::RegisterRequest reg;
+  reg.host = "loop-test";
+  const ExecutorId executor =
+      call_expect<wire::RegisterReply>(rpc, reg).executor_id;
+  const InstanceId instance =
+      call_expect<wire::CreateInstanceReply>(
+          rpc, wire::CreateInstanceRequest{ClientId{1}})
+          .instance_id;
+  return {executor, instance};
+}
+
+TEST(TcpLoopHandlers, BlockedWaitResultsDoesNotDelayLoopRequests) {
+  // One reactor loop serves every connection: were the blocking
+  // wait_results handled on it, the other connection's small requests
+  // would queue behind it for the whole timeout.
+  RealClock clock;
+  Dispatcher dispatcher(clock, DispatcherConfig{});
+  TcpDispatcherServer server(dispatcher, nullptr, /*reactor_loops=*/1);
+  ASSERT_TRUE(server.start().ok());
+  ASSERT_EQ(server.reactor().n_loops(), 1);
+  auto waiter = net::RpcClient::connect("127.0.0.1", server.rpc_port());
+  auto other = net::RpcClient::connect("127.0.0.1", server.rpc_port());
+  ASSERT_TRUE(waiter.ok());
+  ASSERT_TRUE(other.ok());
+
+  const auto [executor, instance] = register_and_create(other.value());
+
+  std::atomic<bool> wait_done{false};
+  std::thread blocked([&] {
+    wire::WaitResultsRequest wait;
+    wait.instance_id = instance;
+    wait.max_results = 1;
+    wait.timeout_s = 1.0;
+    const double ms = call_ms<wire::WaitResultsReply>(waiter.value(), wait);
+    EXPECT_GT(ms, 900.0);
+    wait_done.store(true);
+  });
+  // Let the wait reach its handler before racing it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  wire::GetWorkRequest get_work;
+  get_work.executor_id = executor;
+  get_work.max_tasks = 1;
+  EXPECT_LT(call_ms<wire::GetWorkReply>(other.value(), get_work), 100.0);
+  wire::HeartbeatRequest heartbeat;
+  heartbeat.executor_id = executor;
+  EXPECT_LT(call_ms<wire::HeartbeatReply>(other.value(), heartbeat), 100.0);
+  wire::SubmitRequest submit;
+  submit.instance_id = instance;
+  submit.tasks = sleep_tasks(1);
+  EXPECT_LT(call_ms<wire::SubmitReply>(other.value(), submit), 100.0);
+  EXPECT_FALSE(wait_done.load()) << "the wait ended before the race ran";
+
+  blocked.join();
+  server.stop();
+  dispatcher.shutdown();
+}
+
+/// A journal whose durability barrier takes 300 ms, as a slow disk would.
+struct SlowBarrierJournal final : StateJournal {
+  void on_instance_created(InstanceId, ClientId) override {}
+  void on_instance_destroyed(InstanceId) override {}
+  void on_submit(InstanceId, std::uint64_t,
+                 const std::vector<TaskSpec>&) override {}
+  void on_assign(ExecutorId, const std::vector<TaskId>&) override {}
+  void on_requeue(const std::vector<TaskId>&, bool) override {}
+  void on_complete(InstanceId, const TaskResult&, bool) override {}
+  void on_delivered(InstanceId, const std::vector<TaskId>&) override {}
+  void barrier() override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  }
+};
+
+TEST(TcpLoopHandlers, JournaledSubmitRunsOnThePool) {
+  // With a journal, submit waits in barrier(); a heartbeat sent meanwhile
+  // on another connection must not queue behind it on the single loop.
+  SlowBarrierJournal journal;
+  RealClock clock;
+  DispatcherConfig config;
+  config.journal = &journal;
+  Dispatcher dispatcher(clock, config);
+  TcpDispatcherServer server(dispatcher, nullptr, /*reactor_loops=*/1);
+  ASSERT_TRUE(server.start().ok());
+  auto submitter = net::RpcClient::connect("127.0.0.1", server.rpc_port());
+  auto other = net::RpcClient::connect("127.0.0.1", server.rpc_port());
+  ASSERT_TRUE(submitter.ok());
+  ASSERT_TRUE(other.ok());
+
+  const auto [executor, instance] = register_and_create(other.value());
+
+  std::atomic<bool> submit_done{false};
+  std::thread submitting([&] {
+    wire::SubmitRequest submit;
+    submit.instance_id = instance;
+    submit.tasks = sleep_tasks(1);
+    EXPECT_GT(call_ms<wire::SubmitReply>(submitter.value(), submit), 250.0);
+    submit_done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  wire::HeartbeatRequest heartbeat;
+  heartbeat.executor_id = executor;
+  EXPECT_LT(call_ms<wire::HeartbeatReply>(other.value(), heartbeat), 100.0);
+  EXPECT_FALSE(submit_done.load()) << "the submit ended before the race ran";
+
+  submitting.join();
   server.stop();
   dispatcher.shutdown();
 }
