@@ -74,7 +74,7 @@ double measure_tcp_cpp(int executors, std::uint64_t tasks,
     if (!harness->start().ok()) return 0.0;
     harnesses.push_back(std::move(harness));
   }
-  // Streaming client: the instance subscribes on the push channel and
+  // Streaming client: the instance subscribes on the client's connection and
   // drained mailbox batches arrive as pushed ResultStream frames — the
   // WaitResultsRequest roundtrip per batch disappears from the hot path.
   auto client = core::TcpDispatcherClient::connect(

@@ -155,7 +155,6 @@ double measure_failover_downtime_s() {
   ha::StandbyOptions sopts;
   sopts.primary_rpc_port = server->rpc_port();
   sopts.takeover_rpc_port = server->rpc_port();
-  sopts.takeover_push_port = server->push_port();
   sopts.shared_log_dir = primary_dir.path();
   sopts.standby_dir = standby_dir.path();
   sopts.poll_interval_s = 0.01;

@@ -208,7 +208,7 @@ long open_fd_count() {
 
 /// Connection-scale probe: N idle executors registered and subscribed over
 /// real TCP against one TcpDispatcherServer, then one task cycled through
-/// the fleet per iteration. The client side uses raw blocking sockets (two
+/// the fleet per iteration. The client side uses raw blocking sockets (one
 /// per executor, zero threads), so the process totals isolate the server's
 /// per-connection cost: with the reactor the Threads counter must stay flat
 /// from N=16 to N=1024 — connections live in one epoll set, not one reader
@@ -234,12 +234,13 @@ void BM_ConnectionScale(benchmark::State& state) {
 
   struct ProbeExecutor {
     net::TcpStream rpc;
-    net::TcpStream push;
     ExecutorId id;
   };
   std::vector<ProbeExecutor> fleet;
   fleet.reserve(static_cast<std::size_t>(n));
   wire::Frame frame;
+  // One call at a time per connection; pushed Notify frames (correlation
+  // id 0) that land ahead of the reply are skipped.
   auto roundtrip = [&frame](net::TcpStream& stream,
                             const wire::Message& request)
       -> Result<wire::Message> {
@@ -248,21 +249,21 @@ void BM_ConnectionScale(benchmark::State& state) {
         !status.ok()) {
       return status.error();
     }
-    if (auto status = wire::read_frame(stream, frame); !status.ok()) {
-      return status.error();
-    }
+    do {
+      if (auto status = wire::read_frame(stream, frame); !status.ok()) {
+        return status.error();
+      }
+    } while (frame.corr == 0);
     return wire::decode_message(frame.payload);
   };
   for (int e = 0; e < n; ++e) {
     ProbeExecutor executor;
     auto rpc = net::TcpStream::connect("127.0.0.1", server.rpc_port());
-    auto push = net::TcpStream::connect("127.0.0.1", server.push_port());
-    if (!rpc.ok() || !push.ok()) {
+    if (!rpc.ok()) {
       state.SkipWithError("connect failed");
       return;
     }
     executor.rpc = rpc.take();
-    executor.push = push.take();
     wire::RegisterRequest reg;
     reg.node_id = NodeId{static_cast<std::uint64_t>(e) + 1};
     reg.host = "probe";
@@ -275,8 +276,7 @@ void BM_ConnectionScale(benchmark::State& state) {
     executor.id = std::get<wire::RegisterReply>(reply.value()).executor_id;
     wire::Notify subscribe;
     subscribe.executor_id = executor.id;
-    if (!wire::write_frame(executor.push, wire::encode_message(subscribe))
-             .ok()) {
+    if (!roundtrip(executor.rpc, subscribe).ok()) {
       state.SkipWithError("subscribe failed");
       return;
     }
@@ -298,16 +298,15 @@ void BM_ConnectionScale(benchmark::State& state) {
   const long threads = proc_self_status("Threads:");
   const long fds = open_fd_count();
   const long rss_kb = proc_self_status("VmRSS:");
-  // Each probe executor is two TCP connections (RPC + push), and each
-  // connection has both its reactor-owned end and its raw client end in
-  // this process.
+  // Each probe executor is one TCP connection, with both its reactor-owned
+  // end and its raw client end in this process.
   const double rss_per_conn_kb =
       std::max(0.0, static_cast<double>(rss_kb - rss_before_kb)) /
-      (2.0 * static_cast<double>(n));
+      static_cast<double>(n);
 
   std::vector<pollfd> pollfds(static_cast<std::size_t>(n));
   for (int e = 0; e < n; ++e) {
-    pollfds[static_cast<std::size_t>(e)] = {fleet[e].push.fd(), POLLIN, 0};
+    pollfds[static_cast<std::size_t>(e)] = {fleet[e].rpc.fd(), POLLIN, 0};
   }
   std::uint64_t next_task = 1;
   double notify_s = 0.0;
@@ -325,12 +324,13 @@ void BM_ConnectionScale(benchmark::State& state) {
       state.SkipWithError("submit failed");
       return;
     }
-    // The dispatcher notifies one idle executor; wait for whichever push
-    // stream has a frame (already buffered, or its socket turns readable),
-    // then drive that executor's RPC connection.
+    // The dispatcher notifies one idle executor; wait for whichever
+    // connection has a frame (already buffered, or its socket turns
+    // readable) — an idle executor has no call in flight, so it is the
+    // pushed Notify — then drive that executor's exchange.
     int woken = -1;
     for (int e = 0; e < n && woken < 0; ++e) {
-      if (fleet[e].push.buffered() > 0) woken = e;
+      if (fleet[e].rpc.buffered() > 0) woken = e;
     }
     while (woken < 0) {
       if (::poll(pollfds.data(), pollfds.size(), 5000) <= 0) {
@@ -345,7 +345,8 @@ void BM_ConnectionScale(benchmark::State& state) {
       }
     }
     notify_s += seconds_since(t0);
-    if (!wire::read_frame(fleet[woken].push, push_frame).ok()) {
+    if (!wire::read_frame(fleet[woken].rpc, push_frame).ok() ||
+        push_frame.corr != 0) {
       state.SkipWithError("push read failed");
       return;
     }
@@ -486,7 +487,6 @@ void BM_HaFailoverDowntime(benchmark::State& state) {
     ha::StandbyOptions sopts;
     sopts.primary_rpc_port = server->rpc_port();
     sopts.takeover_rpc_port = server->rpc_port();
-    sopts.takeover_push_port = server->push_port();
     sopts.shared_log_dir = primary_dir;
     sopts.standby_dir = standby_dir;
     sopts.poll_interval_s = 0.01;

@@ -1,6 +1,6 @@
 // Distributed deployment over TCP (the paper's real topology): a
-// dispatcher serving WS-style RPC plus a push-notification channel, remote
-// executors, and a remote client — all over loopback here, but every byte
+// dispatcher serving WS-style RPC on one port, with notifications pushed on
+// each peer's RPC connection, remote executors, and a remote client — all over loopback here, but every byte
 // crosses real sockets using the Falkon wire protocol.
 //
 //   $ ./tcp_cluster [executors] [tasks]
@@ -27,13 +27,12 @@ int main(int argc, char** argv) {
                  status.error().str().c_str());
     return 1;
   }
-  std::printf("dispatcher up: rpc port %u, notification port %u\n",
-              server.rpc_port(), server.push_port());
+  std::printf("dispatcher up: rpc port %u\n", server.rpc_port());
 
   std::vector<std::unique_ptr<core::TcpExecutorHarness>> pool;
   for (int e = 0; e < executors; ++e) {
     auto harness = std::make_unique<core::TcpExecutorHarness>(
-        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+        clock, "127.0.0.1", server.rpc_port(), /*push_port=*/0,
         std::make_unique<core::NoopEngine>(), core::ExecutorOptions{});
     if (auto status = harness->start(); !status.ok()) {
       std::fprintf(stderr, "executor start failed: %s\n",
@@ -44,10 +43,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%d executors registered over TCP\n", executors);
 
-  // Passing the push port opts the client into push-mode result streaming:
-  // drained mailbox batches arrive as pushed ResultStream frames instead of
-  // one WaitResults long-poll per batch (docs/PROTOCOL.md). Drop the third
-  // argument to fall back to pure polling (e.g. through a firewall).
+  // A nonzero third argument opts the client into push-mode result
+  // streaming: drained mailbox batches arrive as ResultStream frames pushed
+  // on the client's RPC connection instead of one WaitResults long-poll per
+  // batch (docs/PROTOCOL.md). Drop it to fall back to pure polling.
   auto client = core::TcpDispatcherClient::connect(
       "127.0.0.1", server.rpc_port(), server.push_port());
   if (!client.ok()) return 1;

@@ -72,6 +72,12 @@ build-ci-asan/tests/test_chaos --gtest_filter='ChaosHa.*'
 echo "== HA durability/failover suite under ASan+UBSan =="
 ctest --test-dir build-ci-asan --output-on-failure -L ha
 
+echo "== HA suite with 2 reactor loops and reuseport accepts under ASan+UBSan =="
+# A standby takes over the primary's one port, and executors and clients
+# re-subscribe on their new connections; run that path with the
+# multi-loop reactor in SO_REUSEPORT accept mode too.
+FALKON_REACTOR_LOOPS=2 FALKON_REUSEPORT=1 build-ci-asan/tests/test_ha
+
 echo "== Data-diffusion suite under ASan+UBSan =="
 # ctest -L data (see docs/DATA.md): digest advertising over heartbeats,
 # good-cache-compute routing, peer-to-peer fetch and the LRU evict path —
@@ -85,6 +91,13 @@ echo "== Net + TCP suites with 2 reactor loops forced =="
 # threads — run even on single-core CI hosts where auto resolves to 1.
 FALKON_REACTOR_LOOPS=2 \
   ctest --test-dir build-ci-asan --output-on-failure -R 'test_net$|test_tcp'
+# Push bindings on a reconnected or closed connection, in both accept
+# modes: the re-subscribe and the unbind may run on a loop other than the
+# one that owns the connection.
+for reuseport in 0 1; do
+  FALKON_REACTOR_LOOPS=2 FALKON_REUSEPORT=$reuseport \
+    build-ci-asan/tests/test_tcp --gtest_filter='TcpPushChannel.ExecutorResubscribesWhenItsLinkReconnects:TcpPushChannel.BindingsEndWithInstanceAndExecutor'
+done
 
 if [ "${1:-}" = "bench" ]; then
   echo "== Benchmark gate =="
@@ -121,7 +134,6 @@ if [ "${1:-}" = "tsan" ]; then
   # slowdown blows the time budget without adding new interleavings.)
   # test_failures: recovery sweeps run on the caller's thread in-process
   # and on a reactor loop thread over TCP, racing executor RPC handlers.
-  # test_common: ThreadCache parks and hands out threads across run/wait.
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
         -R 'test_common|test_obs|test_dispatcher|test_executor|test_failures|test_stress|test_net$|test_tcp|test_wal|test_ha|test_dataaware'
   echo "== Sharded-reactor suites under TSan =="
@@ -130,7 +142,7 @@ if [ "${1:-}" = "tsan" ]; then
   # routing, per-loop buffer pools, write-through sends racing the owning
   # loop's flush) instead of being buried in the suite.
   FALKON_REACTOR_LOOPS=2 \
-    build-ci-tsan/tests/test_net --gtest_filter='Reactor.*:WriteThrough.*:Rpc.AffinityKeyPinsConnectionsToKeyedLoop:Rpc.WatermarkBackpressureIsolatedPerLoop:Rpc.AcceptBackoffRecoversWithShardedLoops:Push.NotifyFromForeignThreadLandsOnOwningLoop:Rpc.RunOnLoopServesAdmittedRequestsPastABusyPool:Push.ReceiverRestartedAfterStopGetsFrames'
+    build-ci-tsan/tests/test_net --gtest_filter='Reactor.*:WriteThrough.*:Rpc.AffinityKeyPinsConnectionsToKeyedLoop:Rpc.WatermarkBackpressureIsolatedPerLoop:Rpc.AcceptBackoffRecoversWithShardedLoops:RpcPush.PushFromForeignThreadLandsOnOwningLoop:Rpc.RunOnLoopServesAdmittedRequestsPastABusyPool:RpcPush.ResubscribeAfterStopGetsFrames'
   echo "== Loop-thread handlers and inline notifies under TSan =="
   # Small requests are answered on the loop that read them, and executor
   # notifies go out on the thread that made work available, so one loop
@@ -138,15 +150,15 @@ if [ "${1:-}" = "tsan" ]; then
   # owns. Run the tests for that path with two loops in both accept modes.
   for reuseport in 0 1; do
     FALKON_REACTOR_LOOPS=2 FALKON_REUSEPORT=$reuseport \
-      build-ci-tsan/tests/test_tcp --gtest_filter='TcpLoopHandlers.*:TcpStackTest.*'
+      build-ci-tsan/tests/test_tcp --gtest_filter='TcpLoopHandlers.*:TcpStackTest.*:TcpPushChannel.ExecutorResubscribesWhenItsLinkReconnects:TcpPushChannel.BindingsEndWithInstanceAndExecutor'
     FALKON_REACTOR_LOOPS=2 FALKON_REUSEPORT=$reuseport \
       build-ci-tsan/tests/test_ha --gtest_filter='HaClient.StreamedInstanceGetsResultsOnTheStream'
   done
   build-ci-tsan/tests/test_dispatcher --gtest_filter='DispatcherTest.NotificationSentWhenWorkArrives'
   echo "== Net + TCP suites with 2 reactor loops forced under TSan =="
   # Same forced multi-loop coverage as the ASan stage: the streaming
-  # client's receiver thread, the dispatcher's stream drain and two loop
-  # threads all touch the mailbox/cursor state this PR added.
+  # client's RPC reader thread, the dispatcher's stream drain and two loop
+  # threads all touch the mailbox/cursor state.
   FALKON_REACTOR_LOOPS=2 \
     ctest --test-dir build-ci-tsan --output-on-failure -R 'test_net$|test_tcp'
   echo "== Election and split-brain regression under TSan =="

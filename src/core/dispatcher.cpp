@@ -695,7 +695,7 @@ bool Dispatcher::remove_executor(std::uint64_t executor_value,
     entry->inflight = 0;
   }
   // Outside the entry lock: let the transport drop per-executor state
-  // (push subscription, unretired bundle_seq) no matter which path removed
+  // (push binding, unretired bundle_seq) no matter which path removed
   // the executor — orderly deregister, failure detector, or poison blame.
   if (entry->sink) entry->sink->on_removed(ExecutorId{executor_value});
   LOG_DEBUG("dispatcher", "executor %llu deregistered (%s), %zu tasks requeued",
@@ -1591,7 +1591,7 @@ void Dispatcher::renotify_stale() {
       continue;
     }
     // The executor was notified but never pulled: the notification was
-    // lost (or the push channel is slow). Send another one.
+    // lost (or its connection is slow). Send another one.
     entry->notified_s = now;
     if (m_renotifies_) m_renotifies_->inc();
     to_notify.emplace_back(entry->sink, entry->id);

@@ -101,12 +101,6 @@ void ExecutorRuntime::set_exit_listener(
   exit_listener_ = std::move(listener);
 }
 
-void ExecutorRuntime::set_id_listener(
-    std::function<void(ExecutorId)> listener) {
-  std::lock_guard lock(stats_mutex_);
-  id_listener_ = std::move(listener);
-}
-
 bool ExecutorRuntime::try_reregister() {
   wire::RegisterRequest request;
   request.node_id = options_.node_id;
@@ -124,13 +118,10 @@ bool ExecutorRuntime::try_reregister() {
     auto registered = link_.register_executor(request);
     if (registered.ok()) {
       id_value_.store(registered.value().value, std::memory_order_release);
-      std::function<void(ExecutorId)> listener;
       {
         std::lock_guard lock(stats_mutex_);
         ++stats_.reregistrations;
-        listener = id_listener_;
       }
-      if (listener) listener(registered.value());
       LOG_INFO("executor", "re-registered after dispatcher failover: id=%llu",
                static_cast<unsigned long long>(registered.value().value));
       return true;

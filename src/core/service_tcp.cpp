@@ -57,6 +57,19 @@ bool loop_request(std::uint8_t tag, std::size_t bytes, bool journaled) {
   }
 }
 
+/// The push key a subscription binds (docs/PROTOCOL.md): a push-mode
+/// executor's Notify{its id}, or a streaming client's SubscribeResults for
+/// an instance. 0 for every other request.
+std::uint64_t subscription_key(const wire::Message& m) {
+  if (const auto* r = std::get_if<wire::Notify>(&m)) {
+    return r->executor_id.value;
+  }
+  if (const auto* r = std::get_if<wire::SubscribeResults>(&m)) {
+    return kClientKeyBase + r->instance_id.value;
+  }
+  return 0;
+}
+
 /// Resolve the reactor_loops knob against the dispatcher's shard count.
 /// Auto (0) spends one loop per hardware thread — extra loops on a smaller
 /// host are pure context-switch overhead — and never exceeds the shard
@@ -112,17 +125,10 @@ TcpDispatcherServer::TcpDispatcherServer(Dispatcher& dispatcher, obs::Obs* obs,
 TcpDispatcherServer::~TcpDispatcherServer() { stop(); }
 
 Status TcpDispatcherServer::start(std::uint16_t rpc_port,
-                                  std::uint16_t push_port,
                                   fault::FaultInjector* fault) {
   if (auto status = reactor_.start(); !status.ok()) return status;
-  net::PushServerOptions push_options;
-  push_options.reactor = &reactor_;
-  if (auto status = push_.start(push_port, fault, obs_, push_options);
-      !status.ok()) {
-    return status;
-  }
   sink_ = std::make_shared<PushSink>(*this, m_pushes_);
-  client_sink_ = std::make_shared<ClientPushSink>(push_);
+  client_sink_ = std::make_shared<ClientPushSink>(rpc_);
   dispatcher_.set_client_sink(client_sink_);
   // A shared handler pool keeps slow/blocking handlers (wait_results with a
   // timeout) from stalling pipelined calls on the same connection; small
@@ -135,12 +141,13 @@ Status TcpDispatcherServer::start(std::uint16_t rpc_port,
   };
   options.obs = obs_;
   options.reactor = &reactor_;
-  // Pin each executor's RPC connection to its shard's loop as soon as a
-  // request names the executor (register carries no id yet — the first
-  // get-work or result bundle settles it). With the push side pinned by
-  // subscription key, the whole exchange for one executor runs on one loop.
+  // Pin each executor's connection to its shard's loop as soon as a
+  // request names the executor (register carries no id yet — the
+  // subscription or the first get-work settles it), so the whole exchange
+  // for one executor, pushes included, runs on one loop.
   options.affinity_key = [](const wire::Message& m) -> std::uint64_t {
     using namespace wire;
+    if (const std::uint64_t key = subscription_key(m)) return key;
     if (const auto* r = std::get_if<GetWorkRequest>(&m)) {
       return r->executor_id.value;
     }
@@ -159,14 +166,9 @@ Status TcpDispatcherServer::start(std::uint16_t rpc_port,
     if (const auto* r = std::get_if<DataEvict>(&m)) {
       return r->executor_id.value;
     }
-    if (const auto* r = std::get_if<SubscribeResults>(&m)) {
-      // Streaming clients pin their RPC connection to the loop that owns
-      // their push subscription: acks and the resulting drain pushes stay
-      // loop-local.
-      return kClientKeyBase + r->instance_id.value;
-    }
     return 0;
   };
+  options.bind_key = subscription_key;
   if (auto status =
           rpc_.start([this](const wire::Message& m) { return handle(m); },
                      rpc_port, fault, options);
@@ -200,12 +202,11 @@ void TcpDispatcherServer::stop() {
   }
   dispatcher_.set_client_sink(nullptr);
   rpc_.stop();
-  push_.stop();
   reactor_.stop();
 }
 
 void TcpDispatcherServer::release_executor(std::uint64_t executor_value) {
-  push_.drop_subscriber(executor_value);
+  rpc_.unbind(executor_value);
   std::lock_guard lock(bundles_mu_);
   if (pending_bundles_.erase(executor_value) != 0) {
     if (m_bundles_retired_) m_bundles_retired_->inc();
@@ -233,6 +234,7 @@ wire::Message TcpDispatcherServer::dispatch(const wire::Message& request) {
   }
   if (const auto* m = std::get_if<DestroyInstanceRequest>(&request)) {
     auto result = dispatcher_.destroy_instance(m->instance_id);
+    rpc_.unbind(kClientKeyBase + m->instance_id.value);
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
     return DestroyInstanceReply{};
   }
@@ -252,9 +254,10 @@ wire::Message TcpDispatcherServer::dispatch(const wire::Message& request) {
     return SubmitReply{result.value(), epoch};
   }
   if (const auto* m = std::get_if<SubscribeResults>(&request)) {
-    // (Re)subscribe / cumulative ack for push-mode result streaming. The
-    // reply is a ResultStream carrying the dispatcher's current cursor and
-    // no results — actual batches arrive on the push channel.
+    // (Re)subscribe / cumulative ack for push-mode result streaming; the
+    // connection is already bound to the instance (bind_key). The reply is
+    // a ResultStream carrying the dispatcher's current cursor and no
+    // results — actual batches arrive as pushes.
     auto result = dispatcher_.subscribe_results(m->instance_id, m->ack_seq);
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
     ResultStream reply;
@@ -275,6 +278,14 @@ wire::Message TcpDispatcherServer::dispatch(const wire::Message& request) {
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
     return RegisterReply{result.value(),
                          epoch_.load(std::memory_order_acquire)};
+  }
+  if (const auto* m = std::get_if<Notify>(&request)) {
+    // A push-mode executor subscribing on this connection (bind_key bound
+    // it). An unknown id answers kNotFound, which undoes the binding; a
+    // known one counts the subscription as a sign of life.
+    auto result = dispatcher_.heartbeat(m->executor_id);
+    if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
+    return HeartbeatReply{};
   }
   if (const auto* m = std::get_if<GetWorkRequest>(&request)) {
     auto result = dispatcher_.get_work(m->executor_id, m->max_tasks);
@@ -364,7 +375,7 @@ wire::Message TcpDispatcherServer::dispatch(const wire::Message& request) {
     // Transport cleanup rides the sink's on_removed hook (same path the
     // failure detector takes); release here too so an unknown executor —
     // where deregister_executor never fires the hook — still drops its
-    // push subscription.
+    // push binding.
     auto result = dispatcher_.deregister_executor(m->executor_id, m->reason);
     release_executor(m->executor_id.value);
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
@@ -434,9 +445,34 @@ Status TcpExecutorHarness::Link::connect(const std::string& host,
   rpc_port_ = rpc_port;
   fault_ = fault;
   obs_ = obs;
-  auto client = net::RpcClient::connect(host_, rpc_port_, fault_, obs_);
+  return dial_locked();
+}
+
+void TcpExecutorHarness::Link::close() {
+  std::lock_guard lock(mu_);
+  rpc_.reset();
+}
+
+Status TcpExecutorHarness::Link::dial_locked() {
+  net::RpcClient::PushHandler on_push;
+  if (on_notify_) {
+    on_push = [on_notify = on_notify_](wire::Message message) {
+      if (const auto* notify = std::get_if<wire::Notify>(&message)) {
+        on_notify(notify->resource_key);
+      }
+    };
+  }
+  auto client = net::RpcClient::connect(host_, rpc_port_, fault_, obs_,
+                                        std::move(on_push));
   if (!client.ok()) return client.error();
   rpc_ = std::make_unique<net::RpcClient>(client.take());
+  if (subscribed_id_ != 0) {
+    // An application error (the dispatcher no longer knows the id) is left
+    // for the request that follows to surface: it triggers re-registration,
+    // which subscribes the new id.
+    auto reply = call_locked(wire::Notify{ExecutorId{subscribed_id_}, 0});
+    if (!reply.ok() && rpc_ == nullptr) return reply.error();
+  }
   return ok_status();
 }
 
@@ -444,10 +480,13 @@ Result<wire::Message> TcpExecutorHarness::Link::roundtrip(
     const wire::Message& request) {
   std::lock_guard lock(mu_);
   if (rpc_ == nullptr) {
-    auto client = net::RpcClient::connect(host_, rpc_port_, fault_, obs_);
-    if (!client.ok()) return client.error();
-    rpc_ = std::make_unique<net::RpcClient>(client.take());
+    if (auto status = dial_locked(); !status.ok()) return status.error();
   }
+  return call_locked(request);
+}
+
+Result<wire::Message> TcpExecutorHarness::Link::call_locked(
+    const wire::Message& request) {
   auto reply = rpc_->call(request);
   if (!reply.ok()) {
     const ErrorCode code = reply.error().code;
@@ -475,7 +514,17 @@ Result<ExecutorId> TcpExecutorHarness::Link::register_executor(
   auto reply = expect<wire::RegisterReply>(roundtrip(stamped));
   if (!reply.ok()) return reply.error();
   epoch_.store(reply.value().epoch, std::memory_order_release);
-  return reply.value().executor_id;
+  const ExecutorId id = reply.value().executor_id;
+  if (on_notify_) {
+    {
+      std::lock_guard lock(mu_);
+      subscribed_id_ = id.value;
+    }
+    // Not fatal when it fails: a lost connection resubscribes on the next
+    // dial, and an id the dispatcher forgot re-registers.
+    (void)roundtrip(wire::Notify{id, 0});
+  }
+  return id;
 }
 
 Result<std::vector<TaskSpec>> TcpExecutorHarness::Link::get_work(
@@ -552,13 +601,12 @@ Status TcpExecutorHarness::Link::heartbeat(ExecutorId executor) {
 
 TcpExecutorHarness::TcpExecutorHarness(Clock& clock, std::string host,
                                        std::uint16_t rpc_port,
-                                       std::uint16_t push_port,
+                                       std::uint16_t /*push_port*/,
                                        std::unique_ptr<TaskEngine> engine,
                                        ExecutorOptions options)
     : clock_(clock),
       host_(std::move(host)),
       rpc_port_(rpc_port),
-      push_port_(push_port),
       options_(options),
       engine_(std::move(engine)) {
   runtime_ = std::make_unique<ExecutorRuntime>(clock_, link_, *engine_,
@@ -574,198 +622,76 @@ Status TcpExecutorHarness::start() {
     if (auto status = options_.data->start(); !status.ok()) return status;
     link_.set_data(options_.data);
   }
+  if (options_.poll_interval_s <= 0) {
+    // Push mode: pushed Notify frames wake the runtime. Polling (firewall-
+    // bypass) mode subscribes to nothing, so nothing is ever pushed to it.
+    link_.set_notify_handler([this](std::uint64_t resource_key) {
+      runtime_->notify(resource_key);
+    });
+  }
   if (auto status = link_.connect(host_, rpc_port_, options_.fault,
                                   options_.obs);
       !status.ok()) {
     return status;
   }
-  if (options_.poll_interval_s <= 0) {
-    // A failover re-registration changes our executor id; re-key the push
-    // subscription (runs on the runtime's work thread, where PushReceiver
-    // stop/start is safe) so the promoted dispatcher can notify us.
-    runtime_->set_id_listener([this](ExecutorId id) {
-      receiver_.stop();
-      (void)receiver_.start(host_, push_port_, id.value,
-                            [this](const wire::Message& message) {
-                              if (const auto* notify =
-                                      std::get_if<wire::Notify>(&message)) {
-                                runtime_->notify(notify->resource_key);
-                              }
-                            });
-    });
-  }
-  if (auto status = runtime_->start(); !status.ok()) return status;
-  if (options_.poll_interval_s > 0) {
-    // Polling (firewall-bypass) mode: no notification channel at all —
-    // only outbound RPC connections leave this host.
-    return ok_status();
-  }
-  // Subscribe for notifications with the id the dispatcher assigned.
-  return receiver_.start(host_, push_port_, runtime_->id().value,
-                         [this](const wire::Message& message) {
-                           if (const auto* notify =
-                                   std::get_if<wire::Notify>(&message)) {
-                             runtime_->notify(notify->resource_key);
-                           }
-                         });
+  return runtime_->start();
 }
 
 void TcpExecutorHarness::stop() {
   if (runtime_) runtime_->stop();
-  receiver_.stop();
+  link_.close();
 }
+
+TcpDispatcherClient::TcpDispatcherClient(bool stream_results)
+    : stream_results_(stream_results),
+      streams_([this](const wire::SubscribeResults& request) {
+        return expect<wire::ResultStream>(rpc_->call(request)).ok();
+      }) {}
 
 Result<std::unique_ptr<TcpDispatcherClient>> TcpDispatcherClient::connect(
     const std::string& host, std::uint16_t rpc_port, std::uint16_t push_port) {
-  auto rpc = net::RpcClient::connect(host, rpc_port);
+  std::unique_ptr<TcpDispatcherClient> client(
+      new TcpDispatcherClient(push_port != 0));
+  net::RpcClient::PushHandler on_push;
+  if (client->stream_results_) {
+    on_push = [streams = &client->streams_](wire::Message message) {
+      streams->on_frame(std::move(message));
+    };
+  }
+  auto rpc = net::RpcClient::connect(host, rpc_port, nullptr, nullptr,
+                                     std::move(on_push));
   if (!rpc.ok()) return rpc.error();
-  return std::unique_ptr<TcpDispatcherClient>(
-      new TcpDispatcherClient(rpc.take(), host, push_port));
+  client->rpc_ = std::make_unique<net::RpcClient>(rpc.take());
+  return client;
 }
 
 Result<InstanceId> TcpDispatcherClient::create_instance(ClientId client) {
   wire::CreateInstanceRequest request;
   request.client_id = client;
-  auto reply = expect<wire::CreateInstanceReply>(rpc_.call(request));
+  auto reply = expect<wire::CreateInstanceReply>(rpc_->call(request));
   if (!reply.ok()) return reply.error();
   const InstanceId instance = reply.value().instance_id;
-  if (push_port_ == 0) return instance;
-  // Streaming regime: subscribe the instance on the push channel, then arm
-  // the dispatcher's drain with SubscribeResults{ack_seq=0}. Any failure
-  // here is absorbed — the instance simply stays in polling mode.
-  auto stream = std::make_shared<Stream>(&readers_);
-  Status started = stream->receiver.start(
-      host_, push_port_, kClientKeyBase + instance.value,
-      [weak = std::weak_ptr<Stream>(stream)](const wire::Message& message) {
-        if (auto live = weak.lock()) on_stream_frame(live, message);
-      });
-  if (started.ok()) {
-    wire::SubscribeResults subscribe;
-    subscribe.instance_id = instance;
-    subscribe.ack_seq = 0;
-    auto armed = expect<wire::ResultStream>(rpc_.call(subscribe));
-    if (armed.ok()) {
-      std::lock_guard lock(streams_mu_);
-      streams_.emplace(instance.value, std::move(stream));
-    } else {
-      stream->receiver.stop();
-    }
-  }
+  // Streaming regime: a failed subscription is absorbed — the instance
+  // simply stays in polling mode.
+  if (stream_results_) (void)streams_.open(instance);
   return instance;
 }
 
-void TcpDispatcherClient::on_stream_frame(const std::shared_ptr<Stream>& stream,
-                                          const wire::Message& message) {
-  const auto* frame = std::get_if<wire::ResultStream>(&message);
-  if (frame == nullptr) return;
-  std::lock_guard lock(stream->mu);
-  if (!stream->resync &&
-      frame->seq == stream->last_seq + frame->results.size()) {
-    stream->last_seq = frame->seq;
-  } else {
-    // Gap: a frame was lost in flight (or a stale pre-resubscribe frame
-    // landed late). Keep the results — the delivered filter protects the
-    // caller — but freeze the ack cursor: acknowledging past results we
-    // never received would let the dispatcher discard them. The next
-    // wait_results resubscribes from zero and the un-acked tail re-streams.
-    stream->resync = true;
-  }
-  for (const auto& result : frame->results) stream->buffer.push_back(result);
-  stream->cv.notify_all();
-}
-
-std::shared_ptr<TcpDispatcherClient::Stream> TcpDispatcherClient::find_stream(
-    InstanceId instance) const {
-  std::lock_guard lock(streams_mu_);
-  auto it = streams_.find(instance.value);
-  return it == streams_.end() ? nullptr : it->second;
-}
-
-bool TcpDispatcherClient::streaming(InstanceId instance) const {
-  return find_stream(instance) != nullptr;
-}
-
-// One cumulative-ack round trip per this many streamed results. The value
-// trades dispatcher mailbox residency (un-acked results stay buffered
-// server-side) against RPC rate on the client's hot receive loop.
-inline constexpr std::uint64_t kAckBatchResults = 8192;
-
 Result<std::vector<TaskResult>> TcpDispatcherClient::wait_streamed(
-    InstanceId instance, const std::shared_ptr<Stream>& stream,
-    std::uint32_t max_results, double timeout_s) {
-  std::vector<TaskResult> out;
-  std::uint64_t ack = 0;
-  bool resync = false;
-  {
-    std::unique_lock lock(stream->mu);
-    stream->cv.wait_for(
-        lock, std::chrono::duration<double>(std::max(0.0, timeout_s)),
-        [&] { return !stream->buffer.empty() || stream->resync; });
-    while (out.size() < max_results && !stream->buffer.empty()) {
-      TaskResult result = std::move(stream->buffer.front());
-      stream->buffer.pop_front();
-      // The exactly-once filter: pushed frames, resubscribe re-streams and
-      // poll fallbacks all funnel through `delivered`.
-      if (stream->delivered.insert(result.task_id.value).second) {
-        out.push_back(std::move(result));
-      }
-    }
-    // Batched cumulative acks: one SubscribeResults round trip per
-    // kAckBatchResults streamed results (or before a resync, to shrink
-    // the re-stream) instead of one per drain — the steady-state receive
-    // loop stays RPC-free, which is the point of push mode. Un-acked
-    // results just sit in the dispatcher mailbox a little longer; on any
-    // failure they re-deliver and the task-id filter absorbs them.
-    const std::uint64_t pending = stream->last_seq - stream->acked_seq;
-    if (pending > 0 && (pending >= kAckBatchResults || stream->resync)) {
-      ack = stream->last_seq;
-    }
-    resync = stream->resync;
-  }
-  std::lock_guard ack_lock(stream->ack_mu);
-  if (ack != 0) {
-    // Cumulative ack: the dispatcher journals delivery and drops the acked
-    // prefix from the mailbox. Failure is benign — un-acked results stay
-    // in the mailbox and re-stream or poll later.
-    wire::SubscribeResults request;
-    request.instance_id = instance;
-    request.ack_seq = ack;
-    if (expect<wire::ResultStream>(rpc_.call(request)).ok()) {
-      std::lock_guard lock(stream->mu);
-      stream->acked_seq = std::max(stream->acked_seq, ack);
-    }
-  }
-  if (resync) {
-    // Re-arm from zero: the dispatcher resets its cursors and re-streams
-    // everything still un-acked in the mailbox.
-    wire::SubscribeResults request;
-    request.instance_id = instance;
-    request.ack_seq = 0;
-    if (expect<wire::ResultStream>(rpc_.call(request)).ok()) {
-      std::lock_guard lock(stream->mu);
-      stream->resync = false;
-      stream->last_seq = 0;
-      stream->acked_seq = 0;
-    }
-  }
+    InstanceId instance, std::uint32_t max_results, double timeout_s) {
+  auto out = streams_.drain(instance, max_results, timeout_s);
   if (!out.empty()) return out;
   // Nothing pushed within the timeout: one-shot poll. This is the lossy-
   // channel fallback — the dispatcher hands back its streamed-but-unacked
-  // prefix (possibly duplicating buffered results; the filter absorbs it)
-  // and re-arms its drain for anything left.
+  // prefix (the filter drops what was already handed out) and re-arms its
+  // drain for anything left.
   wire::WaitResultsRequest request;
   request.instance_id = instance;
   request.max_results = max_results;
   request.timeout_s = 0;
-  auto reply = expect<wire::WaitResultsReply>(rpc_.call(request));
+  auto reply = expect<wire::WaitResultsReply>(rpc_->call(request));
   if (!reply.ok()) return reply.error();
-  std::lock_guard lock(stream->mu);
-  for (auto& result : reply.value().results) {
-    if (stream->delivered.insert(result.task_id.value).second) {
-      out.push_back(std::move(result));
-    }
-  }
-  return out;
+  return streams_.filter(instance, std::move(reply.value().results));
 }
 
 Result<std::uint64_t> TcpDispatcherClient::submit(InstanceId instance,
@@ -773,45 +699,36 @@ Result<std::uint64_t> TcpDispatcherClient::submit(InstanceId instance,
   wire::SubmitRequest request;
   request.instance_id = instance;
   request.tasks = std::move(tasks);
-  auto reply = expect<wire::SubmitReply>(rpc_.call(request));
+  auto reply = expect<wire::SubmitReply>(rpc_->call(request));
   if (!reply.ok()) return reply.error();
   return reply.value().accepted;
 }
 
 Result<std::vector<TaskResult>> TcpDispatcherClient::wait_results(
     InstanceId instance, std::uint32_t max_results, double timeout_s) {
-  if (auto stream = find_stream(instance)) {
-    return wait_streamed(instance, stream, max_results, timeout_s);
+  if (streams_.contains(instance)) {
+    return wait_streamed(instance, max_results, timeout_s);
   }
   wire::WaitResultsRequest request;
   request.instance_id = instance;
   request.max_results = max_results;
   request.timeout_s = timeout_s;
-  auto reply = expect<wire::WaitResultsReply>(rpc_.call(request));
+  auto reply = expect<wire::WaitResultsReply>(rpc_->call(request));
   if (!reply.ok()) return reply.error();
   return std::move(reply.value().results);
 }
 
 Status TcpDispatcherClient::destroy_instance(InstanceId instance) {
-  std::shared_ptr<Stream> stream;
-  {
-    std::lock_guard lock(streams_mu_);
-    auto it = streams_.find(instance.value);
-    if (it != streams_.end()) {
-      stream = std::move(it->second);
-      streams_.erase(it);
-    }
-  }
-  if (stream != nullptr) stream->receiver.stop();
+  streams_.close(instance);
   wire::DestroyInstanceRequest request;
   request.instance_id = instance;
-  auto reply = expect<wire::DestroyInstanceReply>(rpc_.call(request));
+  auto reply = expect<wire::DestroyInstanceReply>(rpc_->call(request));
   if (!reply.ok()) return reply.error();
   return ok_status();
 }
 
 Result<DispatcherStatus> TcpDispatcherClient::status() {
-  auto reply = expect<wire::StatusReply>(rpc_.call(wire::StatusRequest{}));
+  auto reply = expect<wire::StatusReply>(rpc_->call(wire::StatusRequest{}));
   if (!reply.ok()) return reply.error();
   DispatcherStatus status;
   status.submitted = reply.value().submitted_tasks;

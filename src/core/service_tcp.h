@@ -1,33 +1,33 @@
 // TCP deployment glue.
 //
-// TcpDispatcherServer exposes a Dispatcher over two ports, mirroring the
-// original Falkon's GT4-WS-container-plus-TCP-notification split (section
-// 3.3): an RPC port for the WS-style operations (submit, get-work, deliver,
-// status, ...) and a push port for the custom notification protocol.
-// TcpExecutorHarness runs an executor against a remote dispatcher, and
-// TcpDispatcherClient is the client-side stub.
+// TcpDispatcherServer exposes a Dispatcher on one port. The original
+// Falkon split its WS-style operations (submit, get-work, deliver, status,
+// ...) and its custom TCP notification protocol (section 3.3) across a GT4
+// WS container and a second socket; here both ride each peer's one
+// pipelined RPC connection, the notifications as server pushes
+// (docs/PROTOCOL.md). TcpExecutorHarness runs an executor against a remote
+// dispatcher, and TcpDispatcherClient is the client-side stub.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/client.h"
 #include "core/dispatcher.h"
 #include "core/executor.h"
+#include "core/result_stream.h"
 #include "core/task_engine.h"
 #include "net/rpc.h"
 
 namespace falkon::core {
 
-/// Key namespace for client subscriptions on the shared notification
-/// channel (executors subscribe with their ExecutorId; clients with
-/// kClientKeyBase + InstanceId).
+/// Key namespace for push bindings on the RPC server (executors subscribe
+/// with their ExecutorId; streamed instances with kClientKeyBase +
+/// InstanceId).
 inline constexpr std::uint64_t kClientKeyBase = 1ULL << 62;
 
 class TcpDispatcherServer {
@@ -36,13 +36,13 @@ class TcpDispatcherServer {
   /// falkon.net.rpc.errors, falkon.net.push.notifications.
   ///
   /// `reactor_loops` controls how many independent event loops serve the
-  /// two ports. 0 (the default) aligns with the dispatcher: one loop per
+  /// port. 0 (the default) aligns with the dispatcher: one loop per
   /// hardware thread, capped at the dispatcher's executor-shard count so
   /// the loop partition (executor id % n_loops) nests inside the registry
   /// partition (executor id % shards) and an executor's notify/push never
   /// crosses shards. Explicit values are clamped to [1, executor shards].
   ///
-  /// `reuseport` switches both ports to SO_REUSEPORT accept mode: one
+  /// `reuseport` switches the port to SO_REUSEPORT accept mode: one
   /// sibling listener per reactor loop, kernel-balanced accepts, and each
   /// accepted connection stays on the loop that accepted it (no cross-
   /// thread handoff). The FALKON_REUSEPORT environment variable (any
@@ -57,14 +57,21 @@ class TcpDispatcherServer {
   TcpDispatcherServer(const TcpDispatcherServer&) = delete;
   TcpDispatcherServer& operator=(const TcpDispatcherServer&) = delete;
 
-  /// `fault` (optional, test-only) is handed to both channels: reply-frame
-  /// faults on the RPC port, push-frame faults on the notification port.
-  Status start(std::uint16_t rpc_port = 0, std::uint16_t push_port = 0,
+  /// `fault` (optional, test-only) injects reply-frame faults and, on the
+  /// frames with correlation id 0, push-frame faults.
+  Status start(std::uint16_t rpc_port = 0,
                fault::FaultInjector* fault = nullptr);
   void stop();
 
   [[nodiscard]] std::uint16_t rpc_port() const { return rpc_.port(); }
-  [[nodiscard]] std::uint16_t push_port() const { return push_.port(); }
+  /// Pushes ride the RPC connection, so there is no second port. This
+  /// accessor, TcpExecutorHarness's push_port argument (ignored) and the
+  /// push_port argument of TcpDispatcherClient::connect (nonzero: stream
+  /// results) remain so that callers written for the two-port layout — the
+  /// perfbench driver among them — build and behave unchanged.
+  [[nodiscard]] std::uint16_t push_port() const { return rpc_port(); }
+  /// The RPC server: connection count and push bindings (introspection).
+  [[nodiscard]] const net::RpcServer& rpc_server() const { return rpc_; }
   /// The shared event-loop reactor (introspection: loop count, connection
   /// distribution). Valid between construction and destruction.
   [[nodiscard]] net::Reactor& reactor() { return reactor_; }
@@ -90,12 +97,12 @@ class TcpDispatcherServer {
   }
 
  private:
-  /// ExecutorSink that writes Notify frames on the notification channel.
-  /// on_removed ties transport cleanup to the dispatcher's removal paths:
-  /// without it, an executor evicted by the failure detector (no orderly
-  /// DeregisterRequest) would leak its push subscription and its unretired
-  /// bundle_seq entry — and `falkon.net.rpc.pending_bundles` would never
-  /// drain to zero.
+  /// ExecutorSink that pushes Notify frames on the executor's RPC
+  /// connection. on_removed ties transport cleanup to the dispatcher's
+  /// removal paths: without it, an executor evicted by the failure detector
+  /// (no orderly DeregisterRequest) would leak its push binding and its
+  /// unretired bundle_seq entry — and `falkon.net.rpc.pending_bundles`
+  /// would never drain to zero.
   struct PushSink final : ExecutorSink {
     PushSink(TcpDispatcherServer& server, obs::Counter* pushes)
         : server(server), pushes(pushes) {}
@@ -104,7 +111,7 @@ class TcpDispatcherServer {
       message.executor_id = id;
       message.resource_key = resource_key;
       if (pushes) pushes->inc();
-      (void)server.push_.push(id.value, message);
+      (void)server.rpc_.push(id.value, message);
     }
     void on_removed(ExecutorId id) override {
       server.release_executor(id.value);
@@ -114,42 +121,41 @@ class TcpDispatcherServer {
   };
 
   /// ClientSink for the push-mode result stream {8} (docs/PROTOCOL.md): a
-  /// drained mailbox batch rides the notification channel as a ResultStream
-  /// frame, keyed by the instance's subscription. false (no subscriber)
-  /// drops the instance back to polling; a frame lost in flight after a
-  /// true return is recovered by the SubscribeResults ack protocol, never
-  /// by the sink.
+  /// drained mailbox batch is pushed as a ResultStream frame on the
+  /// connection that subscribed the instance. false (no binding) drops the
+  /// instance back to polling; a frame lost in flight after a true return
+  /// is recovered by the SubscribeResults ack protocol, never by the sink.
   struct ClientPushSink final : ClientSink {
-    explicit ClientPushSink(net::PushServer& push) : push(push) {}
+    explicit ClientPushSink(net::RpcServer& rpc) : rpc(rpc) {}
     bool deliver(InstanceId instance, std::uint64_t seq,
                  const std::vector<TaskResult>& results) override {
       wire::ResultStream message;
       message.instance_id = instance;
       message.seq = seq;
       message.results = results;
-      return push.push(kClientKeyBase + instance.value, message).ok();
+      return rpc.push(kClientKeyBase + instance.value, message).ok();
     }
-    net::PushServer& push;
+    net::RpcServer& rpc;
   };
 
   [[nodiscard]] wire::Message handle(const wire::Message& request);
   [[nodiscard]] wire::Message dispatch(const wire::Message& request);
 
-  /// Drop all per-executor transport state: push subscription plus any
+  /// Drop all per-executor transport state: push binding plus any
   /// unretired bundle_seq (counted as retired — the dispatcher has already
-  /// requeued the bundle's tasks, so the sequence number is settled).
+  /// requeued the bundle's tasks, so the sequence number is settled). The
+  /// executor's connection stays open.
   void release_executor(std::uint64_t executor_value);
 
   Dispatcher& dispatcher_;
   obs::Obs* obs_{nullptr};
   std::atomic<ReplicationSource*> replication_{nullptr};
   std::atomic<std::uint64_t> epoch_{0};
-  /// One event loop shared by both channels: every executor costs two
-  /// reactor-owned connections, zero threads. Declared before the servers
-  /// so it outlives their stop() sequences.
+  /// The server's event loops: every executor costs one reactor-owned
+  /// connection, zero threads. Declared before the server so it outlives
+  /// its stop() sequence.
   net::Reactor reactor_;
   net::RpcServer rpc_;
-  net::PushServer push_;
   /// Recovery sweep (Dispatcher::sweep_once) on the reactor's timer wheel;
   /// 0 when sweep_interval_s <= 0 leaves it unarmed.
   net::TimerId sweep_timer_{0};
@@ -182,6 +188,7 @@ class TcpDispatcherServer {
 /// One executor connected to a remote dispatcher over TCP.
 class TcpExecutorHarness {
  public:
+  /// `push_port` is ignored (see TcpDispatcherServer::push_port).
   TcpExecutorHarness(Clock& clock, std::string host, std::uint16_t rpc_port,
                      std::uint16_t push_port, std::unique_ptr<TaskEngine> engine,
                      ExecutorOptions options);
@@ -190,7 +197,8 @@ class TcpExecutorHarness {
   TcpExecutorHarness(const TcpExecutorHarness&) = delete;
   TcpExecutorHarness& operator=(const TcpExecutorHarness&) = delete;
 
-  /// Connects, registers (over RPC) and subscribes for notifications.
+  /// Connects, registers and, in push mode (poll_interval_s <= 0),
+  /// subscribes for notifications — all over the one RPC connection.
   Status start();
   void stop();
 
@@ -223,6 +231,19 @@ class TcpExecutorHarness {
     /// eviction notices into kDataEvict frames. Call before connect().
     void set_data(DataPlane* data) { data_ = data; }
 
+    /// Push mode: Notify frames pushed on this connection go to
+    /// `on_notify`, and the link subscribes for them — Notify{executor id}
+    /// as a call — after every registration and on every reconnect. Call
+    /// before connect().
+    void set_notify_handler(
+        std::function<void(std::uint64_t resource_key)> on_notify) {
+      on_notify_ = std::move(on_notify);
+    }
+
+    /// Sever the connection and join its reader: no notify handler runs
+    /// after this returns.
+    void close();
+
     /// Dispatcher epoch from the last RegisterReply — bumps after the
     /// executor re-registers on a promoted standby (docs/HA.md).
     [[nodiscard]] std::uint64_t epoch() const {
@@ -235,12 +256,22 @@ class TcpExecutorHarness {
     /// the next attempt dials fresh — paired with the runtime's
     /// backoff-retry loop this is the executor's reconnect story.
     Result<wire::Message> roundtrip(const wire::Message& request);
+    /// Dial, then resubscribe on the new connection (bindings die with the
+    /// connection they were made on). Caller holds mu_.
+    Status dial_locked();
+    /// One call on the open connection; a transport failure discards it.
+    /// Caller holds mu_.
+    Result<wire::Message> call_locked(const wire::Message& request);
 
     std::mutex mu_;
     std::string host_;
     std::uint16_t rpc_port_{0};
     fault::FaultInjector* fault_{nullptr};
     obs::Obs* obs_{nullptr};
+    std::function<void(std::uint64_t)> on_notify_;
+    /// Executor id a fresh connection subscribes (push mode, once
+    /// registered; guarded by mu_).
+    std::uint64_t subscribed_id_{0};
     std::unique_ptr<net::RpcClient> rpc_;
     /// Highest TaskBundle.bundle_seq received; echoed as the batched ack
     /// in the next ResultBundle (guarded by mu_).
@@ -255,12 +286,10 @@ class TcpExecutorHarness {
   Clock& clock_;
   std::string host_;
   std::uint16_t rpc_port_;
-  std::uint16_t push_port_;
   ExecutorOptions options_;
   Link link_;
   std::unique_ptr<TaskEngine> engine_;
   std::unique_ptr<ExecutorRuntime> runtime_;
-  net::PushReceiver receiver_;
 };
 
 /// Client-side dispatcher stub over TCP.
@@ -268,15 +297,14 @@ class TcpExecutorHarness {
 /// Two result-delivery regimes:
 ///   * Polling (push_port == 0, the firewall-mode default): wait_results is
 ///     a WaitResultsRequest RPC per batch — one roundtrip each.
-///   * Streaming (push_port != 0): create_instance subscribes the instance
-///     on the notification channel (SubscribeResults{ack_seq=0}) and the
-///     dispatcher pushes drained mailbox batches as ResultStream frames.
-///     wait_results drains a local buffer and acknowledges cumulatively —
-///     steady-state delivery costs zero request roundtrips. A severed or
-///     lossy push channel degrades to one-shot polls (the dispatcher keeps
-///     every un-acked result in the mailbox), and all three arrival paths
-///     (pushed, ack-replied, polled) funnel through a per-instance task-id
-///     filter, so the caller sees each result exactly once.
+///   * Streaming (push_port != 0; its value is not used): create_instance
+///     subscribes the instance with SubscribeResults{ack_seq=0} and the
+///     dispatcher pushes drained mailbox batches as ResultStream frames on
+///     the client's RPC connection. wait_results drains a local buffer and
+///     acknowledges cumulatively — steady-state delivery costs zero request
+///     roundtrips. Lost pushes degrade to one-shot polls (the dispatcher
+///     keeps every un-acked result in the mailbox), and a per-instance
+///     task-id filter makes every arrival path exactly-once (ResultStreams).
 class TcpDispatcherClient final : public DispatcherClient {
  public:
   static Result<std::unique_ptr<TcpDispatcherClient>> connect(
@@ -292,63 +320,26 @@ class TcpDispatcherClient final : public DispatcherClient {
   Status destroy_instance(InstanceId instance) override;
   Result<DispatcherStatus> status() override;
 
-  /// True when the instance is subscribed on the push channel (streaming
-  /// regime); false in polling mode or after subscription failed.
-  [[nodiscard]] bool streaming(InstanceId instance) const;
+  /// True when the instance streams its results (streaming regime, and the
+  /// subscription succeeded).
+  [[nodiscard]] bool streaming(InstanceId instance) const {
+    return streams_.contains(instance);
+  }
 
  private:
-  /// Per-instance streaming state. `mu` guards everything but `receiver`
-  /// (started once at subscription, stopped at destroy); `cv` wakes
-  /// wait_results when the read thread lands a frame.
-  struct Stream {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<TaskResult> buffer;
-    /// Task ids already handed to the caller — the exactly-once filter for
-    /// re-streams (resubscribe) and poll/push overlap.
-    std::unordered_set<std::uint64_t> delivered;
-    /// Highest contiguously-received ResultStream.seq; what we ack.
-    std::uint64_t last_seq{0};
-    /// Last seq acknowledged to the dispatcher via SubscribeResults.
-    std::uint64_t acked_seq{0};
-    /// A frame gap was observed (seq jumped past buffer+results): the next
-    /// wait_results resubscribes from zero so the dispatcher re-streams its
-    /// un-acked prefix. Acking across a gap would discard results the
-    /// client never saw, so last_seq freezes until the resubscribe.
-    bool resync{false};
-    /// Serialises SubscribeResults RPCs for this instance: the dispatcher's
-    /// cursor protocol assumes acks and resubscribes never interleave.
-    std::mutex ack_mu;
-    /// Declared last so its destructor stops the read loop before the
-    /// state above is torn down.
-    net::PushReceiver receiver;
+  explicit TcpDispatcherClient(bool stream_results);
 
-    explicit Stream(ThreadCache* readers) : receiver(readers) {}
-  };
-
-  TcpDispatcherClient(net::RpcClient rpc, std::string host,
-                      std::uint16_t push_port)
-      : rpc_(std::move(rpc)), host_(std::move(host)), push_port_(push_port) {}
-
-  /// Streaming-regime wait: drain the local buffer (cv-timed), acknowledge
-  /// cumulatively, fall back to a one-shot poll on timeout or resync.
+  /// Streaming-regime wait: drain pushed results, fall back to a one-shot
+  /// poll when none arrived within the timeout.
   Result<std::vector<TaskResult>> wait_streamed(InstanceId instance,
-                                                const std::shared_ptr<Stream>& stream,
                                                 std::uint32_t max_results,
                                                 double timeout_s);
-  static void on_stream_frame(const std::shared_ptr<Stream>& stream,
-                              const wire::Message& message);
-  [[nodiscard]] std::shared_ptr<Stream> find_stream(InstanceId instance) const;
 
-  net::RpcClient rpc_;
-  std::string host_;
-  std::uint16_t push_port_{0};
-  /// Runs the streams' read loops. Instances come and go one session at a
-  /// time, so one parked thread serves them all. Declared before streams_:
-  /// the streams stop their loops before the cache joins its threads.
-  ThreadCache readers_;
-  mutable std::mutex streams_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Stream>> streams_;
+  bool stream_results_;
+  ResultStreams streams_;
+  /// Declared last, so destroyed first: its reader thread, which feeds
+  /// streams_, is joined before streams_ goes away.
+  std::unique_ptr<net::RpcClient> rpc_;
 };
 
 }  // namespace falkon::core

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "core/service_tcp.h"  // kClientKeyBase
 
 namespace falkon::ha {
 namespace {
@@ -40,13 +39,23 @@ Result<T> expect(Result<wire::Message> reply) {
 }  // namespace
 
 FailoverClient::FailoverClient(FailoverClientOptions options)
-    : options_(std::move(options)) {
-  if (options_.obs != nullptr) {
-    auto& reg = options_.obs->registry();
-    m_reconnects_ = &reg.counter("falkon.ha.client.reconnects");
-    m_dup_results_ = &reg.counter("falkon.ha.client.duplicate_results");
-  }
-}
+    : options_(std::move(options)),
+      m_reconnects_(options_.obs == nullptr
+                        ? nullptr
+                        : &options_.obs->registry().counter(
+                              "falkon.ha.client.reconnects")),
+      m_dup_results_(options_.obs == nullptr
+                         ? nullptr
+                         : &options_.obs->registry().counter(
+                               "falkon.ha.client.duplicate_results")),
+      streams_(
+          [this](const wire::SubscribeResults& request) {
+            // call() rides out a takeover; a promoted dispatcher that
+            // restored the instance in polling mode just clamps a stale
+            // ack cursor harmlessly.
+            return expect<wire::ResultStream>(call(request)).ok();
+          },
+          m_dup_results_) {}
 
 std::uint64_t FailoverClient::reconnects() const {
   std::lock_guard lock(mu_);
@@ -73,8 +82,15 @@ Result<wire::Message> FailoverClient::call(const wire::Message& request) {
     }
     std::unique_lock lock(mu_);
     if (!rpc_) {
+      net::RpcClient::PushHandler on_push;
+      if (options_.stream_results) {
+        on_push = [this](wire::Message message) {
+          streams_.on_frame(std::move(message));
+        };
+      }
       auto rpc = net::RpcClient::connect(options_.host, options_.rpc_port,
-                                         options_.fault);
+                                         options_.fault, nullptr,
+                                         std::move(on_push));
       if (!rpc.ok()) {
         last = rpc.error();
         reconnects_ += 1;
@@ -109,67 +125,13 @@ Result<InstanceId> FailoverClient::create_instance(ClientId client) {
   auto reply = expect<wire::CreateInstanceReply>(call(request));
   if (!reply.ok()) return reply.error();
   const InstanceId instance = reply.value().instance_id;
-  if (options_.push_port != 0) {
-    auto stream = std::make_shared<Stream>();
-    {
-      std::lock_guard lock(streams_mu_);
-      streams_.emplace(instance.value, stream);
-    }
-    resubscribe(instance, stream);
-  }
+  // A failed subscription leaves the instance polling.
+  if (options_.stream_results) (void)streams_.open(instance);
   return instance;
 }
 
-std::shared_ptr<FailoverClient::Stream> FailoverClient::find_stream(
-    InstanceId instance) const {
-  std::lock_guard lock(streams_mu_);
-  auto it = streams_.find(instance.value);
-  return it == streams_.end() ? nullptr : it->second;
-}
-
 bool FailoverClient::streaming(InstanceId instance) const {
-  return find_stream(instance) != nullptr;
-}
-
-void FailoverClient::resubscribe(InstanceId instance,
-                                 const std::shared_ptr<Stream>& stream) {
-  std::lock_guard sub_lock(stream->sub_mu);
-  stream->receiver.stop();
-  (void)stream->receiver.start(
-      options_.host, options_.push_port,
-      core::kClientKeyBase + instance.value,
-      [weak = std::weak_ptr<Stream>(stream)](const wire::Message& message) {
-        auto live = weak.lock();
-        if (live == nullptr) return;
-        const auto* frame = std::get_if<wire::ResultStream>(&message);
-        if (frame == nullptr) return;
-        std::lock_guard lock(live->mu);
-        if (!live->resync &&
-            frame->seq == live->last_seq + frame->results.size()) {
-          live->last_seq = frame->seq;
-        } else {
-          // Lost frame (or a stale pre-resubscribe frame): keep the
-          // results — seen_ protects the caller — but never ack past a
-          // gap; the next wait resubscribes and the tail re-streams.
-          live->resync = true;
-        }
-        for (const auto& result : frame->results) {
-          live->buffer.push_back(result);
-        }
-        live->cv.notify_all();
-      });
-  // Re-arm from zero even if the receiver failed to dial: a later
-  // resubscribe retries both halves, and until then the polling fallback
-  // keeps results flowing.
-  wire::SubscribeResults request;
-  request.instance_id = instance;
-  request.ack_seq = 0;
-  if (expect<wire::ResultStream>(call(request)).ok()) {
-    std::lock_guard lock(stream->mu);
-    stream->resync = false;
-    stream->last_seq = 0;
-    stream->acked_seq = 0;
-  }
+  return streams_.contains(instance);
 }
 
 Result<std::uint64_t> FailoverClient::submit(InstanceId instance,
@@ -207,8 +169,8 @@ Result<std::uint64_t> FailoverClient::submit(InstanceId instance,
 
 Result<std::vector<TaskResult>> FailoverClient::wait_results(
     InstanceId instance, std::uint32_t max_results, double timeout_s) {
-  if (auto stream = find_stream(instance)) {
-    return wait_streamed(instance, stream, max_results, timeout_s);
+  if (streams_.contains(instance)) {
+    return wait_streamed(instance, max_results, timeout_s);
   }
   wire::WaitResultsRequest request;
   request.instance_id = instance;
@@ -230,64 +192,14 @@ Result<std::vector<TaskResult>> FailoverClient::wait_results(
 }
 
 Result<std::vector<TaskResult>> FailoverClient::wait_streamed(
-    InstanceId instance, const std::shared_ptr<Stream>& stream,
-    std::uint32_t max_results, double timeout_s) {
-  std::vector<TaskResult> raw;
-  std::uint64_t ack = 0;
-  bool resync = false;
-  {
-    std::unique_lock lock(stream->mu);
-    stream->cv.wait_for(
-        lock, std::chrono::duration<double>(std::max(0.0, timeout_s)),
-        [&] { return !stream->buffer.empty() || stream->resync; });
-    while (raw.size() < max_results && !stream->buffer.empty()) {
-      raw.push_back(std::move(stream->buffer.front()));
-      stream->buffer.pop_front();
-    }
-    // Batched cumulative acks (mirrors TcpDispatcherClient::wait_streamed):
-    // one SubscribeResults round trip per kAckBatchResults results, or when
-    // a resync is pending — not one per drain. Delayed acks only delay the
-    // on_delivered journal barrier; after a takeover the un-acked tail
-    // re-delivers and the seen_ filter absorbs it.
-    constexpr std::uint64_t kAckBatchResults = 8192;
-    const std::uint64_t pending = stream->last_seq - stream->acked_seq;
-    if (pending > 0 && (pending >= kAckBatchResults || stream->resync)) {
-      ack = stream->last_seq;
-    }
-    resync = stream->resync;
-  }
-  std::vector<TaskResult> fresh;
-  fresh.reserve(raw.size());
-  {
-    std::lock_guard lock(mu_);
-    for (TaskResult& result : raw) {
-      if (seen_.insert(result.task_id.value).second) {
-        fresh.push_back(std::move(result));
-      } else if (m_dup_results_ != nullptr) {
-        m_dup_results_->inc();
-      }
-    }
-  }
-  if (ack != 0) {
-    std::lock_guard sub_lock(stream->sub_mu);
-    // Cumulative ack; call() rides out a takeover, and a promoted
-    // dispatcher that restored the instance in polling mode just clamps
-    // the stale cursor harmlessly.
-    wire::SubscribeResults request;
-    request.instance_id = instance;
-    request.ack_seq = ack;
-    if (expect<wire::ResultStream>(call(request)).ok()) {
-      std::lock_guard lock(stream->mu);
-      stream->acked_seq = std::max(stream->acked_seq, ack);
-    }
-  }
-  if (resync) resubscribe(instance, stream);
+    InstanceId instance, std::uint32_t max_results, double timeout_s) {
+  auto fresh = streams_.drain(instance, max_results, timeout_s);
   if (!fresh.empty()) return fresh;
-  // Push channel quiet for the whole timeout: one-shot poll. After a
-  // takeover this is the path that keeps results flowing (the promoted
-  // dispatcher restores instances unsubscribed), so a poll that finds
-  // results while we believe we are streaming doubles as the signal to
-  // resubscribe against the new regime.
+  // Nothing pushed for the whole timeout: one-shot poll. After a reconnect
+  // this is the path that keeps results flowing (the subscription ended
+  // with the old connection, and a promoted dispatcher restores instances
+  // unsubscribed), so a poll that finds results doubles as the signal to
+  // re-subscribe on the current connection.
   wire::WaitResultsRequest request;
   request.instance_id = instance;
   request.max_results = max_results;
@@ -295,31 +207,13 @@ Result<std::vector<TaskResult>> FailoverClient::wait_streamed(
   auto reply = expect<wire::WaitResultsReply>(call(request));
   if (!reply.ok()) return reply.error();
   const bool polled_some = !reply.value().results.empty();
-  {
-    std::lock_guard lock(mu_);
-    for (TaskResult& result : reply.value().results) {
-      if (seen_.insert(result.task_id.value).second) {
-        fresh.push_back(std::move(result));
-      } else if (m_dup_results_ != nullptr) {
-        m_dup_results_->inc();
-      }
-    }
-  }
-  if (polled_some) resubscribe(instance, stream);
+  fresh = streams_.filter(instance, std::move(reply.value().results));
+  if (polled_some) (void)streams_.rearm(instance);
   return fresh;
 }
 
 Status FailoverClient::destroy_instance(InstanceId instance) {
-  std::shared_ptr<Stream> stream;
-  {
-    std::lock_guard lock(streams_mu_);
-    auto it = streams_.find(instance.value);
-    if (it != streams_.end()) {
-      stream = std::move(it->second);
-      streams_.erase(it);
-    }
-  }
-  if (stream != nullptr) stream->receiver.stop();
+  streams_.close(instance);
   wire::DestroyInstanceRequest request;
   request.instance_id = instance;
   auto reply = expect<wire::DestroyInstanceReply>(call(request));

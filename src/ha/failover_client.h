@@ -18,16 +18,14 @@
 // stamped by a newer regime.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "core/client.h"
+#include "core/result_stream.h"
 #include "fault/fault.h"
 #include "net/rpc.h"
 #include "obs/obs.h"
@@ -37,15 +35,15 @@ namespace falkon::ha {
 struct FailoverClientOptions {
   std::string host{"127.0.0.1"};
   std::uint16_t rpc_port{0};
-  /// Non-zero opts into push-mode result streaming (docs/PROTOCOL.md):
-  /// create_instance subscribes on the notification port and wait_results
-  /// drains pushed ResultStream batches instead of polling. A takeover
-  /// kills the push connection; results keep flowing through the polling
-  /// fallback (dedup by task id preserves exactly-once) and the client
-  /// resubscribes against the promoted dispatcher, which streams with a
-  /// clean cursor after restore. The standby must re-bind the same
-  /// notification port, as it does the RPC port.
-  std::uint16_t push_port{0};
+  /// Opts into push-mode result streaming (docs/PROTOCOL.md):
+  /// create_instance subscribes the instance on the RPC connection and
+  /// wait_results drains pushed ResultStream batches instead of polling. A
+  /// reconnect (a takeover above all) ends the subscription with the old
+  /// connection; results keep flowing through the polling fallback (dedup
+  /// by task id preserves exactly-once) and the client re-subscribes on
+  /// the new connection, where a promoted dispatcher streams with a clean
+  /// cursor after restore.
+  bool stream_results{false};
   /// Transport-level retries per call; with backoff below, the default
   /// rides out several seconds of takeover downtime.
   int max_attempts{200};
@@ -74,54 +72,35 @@ class FailoverClient final : public core::DispatcherClient {
   /// from an epoch-fenced server).
   [[nodiscard]] std::uint64_t epoch() const;
 
-  /// True when the instance currently streams results over the push
-  /// channel (always false unless options.push_port was set).
+  /// True when the instance streams its results (always false unless
+  /// options.stream_results was set).
   [[nodiscard]] bool streaming(InstanceId instance) const;
 
  private:
-  /// Per-instance push-stream state (see core::TcpDispatcherClient::Stream
-  /// — same protocol, with the dedup filter shared in seen_).
-  struct Stream {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<TaskResult> buffer;
-    std::uint64_t last_seq{0};
-    std::uint64_t acked_seq{0};
-    /// A seq gap was observed; freeze the ack cursor and resubscribe.
-    bool resync{false};
-    /// Serialises subscribe/ack RPCs and receiver restarts per instance.
-    std::mutex sub_mu;
-    /// Declared last: its destructor joins the read thread first.
-    net::PushReceiver receiver;
-  };
-
   /// One RPC with reconnect + backoff across transport failures.
   Result<wire::Message> call(const wire::Message& request);
   /// Fold a server-advertised epoch into epoch_ (monotone).
   void learn_epoch(std::uint64_t epoch);
-  /// (Re)connect the push receiver and re-arm the dispatcher's drain with
-  /// SubscribeResults{ack_seq=0}. Used at create_instance and whenever the
-  /// push channel goes quiet while the mailbox still has results (the
-  /// post-takeover signature: the promoted dispatcher restores instances
-  /// in polling mode until the client resubscribes).
-  void resubscribe(InstanceId instance, const std::shared_ptr<Stream>& stream);
-  [[nodiscard]] std::shared_ptr<Stream> find_stream(InstanceId instance) const;
-  Result<std::vector<TaskResult>> wait_streamed(
-      InstanceId instance, const std::shared_ptr<Stream>& stream,
-      std::uint32_t max_results, double timeout_s);
+  Result<std::vector<TaskResult>> wait_streamed(InstanceId instance,
+                                                std::uint32_t max_results,
+                                                double timeout_s);
 
   FailoverClientOptions options_;
-  mutable std::mutex streams_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Stream>> streams_;
+  obs::Counter* m_reconnects_{nullptr};
+  obs::Counter* m_dup_results_{nullptr};
+  /// Streamed instances, fed by the current connection's push callback
+  /// and routed by ResultStream.instance_id.
+  core::ResultStreams streams_;
   mutable std::mutex mu_;
-  std::unique_ptr<net::RpcClient> rpc_;
   std::uint64_t submit_seq_{0};
   std::uint64_t reconnects_{0};
   std::uint64_t epoch_{0};
-  /// Task ids already handed to the caller (re-delivery dedup).
+  /// Task ids of polled instances already handed to the caller
+  /// (re-delivery dedup; streamed instances filter in streams_).
   std::unordered_set<std::uint64_t> seen_;
-  obs::Counter* m_reconnects_{nullptr};
-  obs::Counter* m_dup_results_{nullptr};
+  /// Declared after streams_, so destroyed before it: the reader thread
+  /// that feeds streams_ is joined first.
+  std::unique_ptr<net::RpcClient> rpc_;
 };
 
 }  // namespace falkon::ha

@@ -9,7 +9,7 @@
 // lowest-rank-alive wins, solo fetch-timeout path when no peers are
 // configured) and, if it wins, promotes itself — recover authoritative
 // state under a bumped epoch, spin up a fresh Dispatcher seeded via
-// restore(), and take over the primary's listen endpoints (SO_REUSEADDR +
+// restore(), and take over the primary's listen endpoint (SO_REUSEADDR +
 // bind retry) so executors and clients reconnect to the same host:port
 // they already know. Losers keep tailing and re-probe; the epoch fence in
 // the journal (Journal::Options::promote_epoch) guarantees at most one
@@ -70,10 +70,9 @@ struct StandbyOptions {
   /// promote on fetch timeout alone, exactly the pre-election behaviour.
   std::vector<StandbyPeer> peers;
 
-  /// Endpoints to claim on promotion — the primary's advertised ports, so
+  /// Endpoint to claim on promotion — the primary's advertised port, so
   /// reconnecting peers need no re-configuration.
   std::uint16_t takeover_rpc_port{0};
-  std::uint16_t takeover_push_port{0};
 
   /// Primary's journal directory when visible from this process (same-host
   /// failover); empty when the standby can only rely on replication.
@@ -98,7 +97,7 @@ struct StandbyOptions {
   /// standby that never saw a primary has nothing to recover and would
   /// race a healthy primary for the port).
   bool promote_without_contact{false};
-  /// How long promotion retries binding the takeover ports (the dying
+  /// How long promotion retries binding the takeover port (the dying
   /// primary's sockets may linger briefly).
   double takeover_bind_timeout_s{5.0};
 

@@ -1235,4 +1235,9 @@ bool Reactor::Conn::overloaded() const {
   return queued_ >= reactor_->options_.high_watermark_bytes;
 }
 
+bool Reactor::Conn::dead() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dead_;
+}
+
 }  // namespace falkon::net

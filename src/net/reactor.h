@@ -281,6 +281,9 @@ class Reactor::Conn : public std::enable_shared_from_this<Reactor::Conn> {
   /// True when the outbox is past the high watermark (slow reader); push
   /// paths use this to shed load instead of buffering without bound.
   [[nodiscard]] bool overloaded() const;
+  /// True once sends are refused: the connection is closed or flushing
+  /// toward a close. It is set before on_close fires.
+  [[nodiscard]] bool dead() const;
   [[nodiscard]] int fd() const { return fd_; }
   /// Index of the loop that owns this connection right now (test
   /// introspection; racy against in-flight migrations — barrier() first).

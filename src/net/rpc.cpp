@@ -101,7 +101,12 @@ Status RpcServer::start(RpcHandler handler, std::uint16_t port,
   handler_ = std::move(handler);
   affinity_key_ = std::move(options.affinity_key);
   run_on_loop_ = std::move(options.run_on_loop);
+  bind_key_ = std::move(options.bind_key);
   fault_ = fault;
+  if (options.obs != nullptr) {
+    m_bp_drops_ =
+        &options.obs->registry().counter("falkon.net.push.backpressure_drops");
+  }
   sndbuf_bytes_ = options.sndbuf_bytes;
   // Handlers may block (wait_results); every request run_on_loop does not
   // admit runs off-loop, so even handler_threads == 0 gets one worker —
@@ -149,6 +154,7 @@ void RpcServer::stop() {
   for (auto& sibling : siblings_) reactor_->remove_listener(sibling.fd());
   {
     std::lock_guard lock(mu_);
+    bound_.clear();
     for (auto& weak : connections_) {
       if (auto conn = weak.lock()) conn->close();
     }
@@ -238,11 +244,77 @@ void RpcServer::serve(const std::shared_ptr<Reactor::Conn>& conn,
     const std::uint64_t key = affinity_key_(request.value());
     if (key != 0) conn->set_affinity(key);
   }
-  enqueue_reply(conn, corr, handler_(request.value()));
+  const std::uint64_t key = bind_key_ ? bind_key_(request.value()) : 0;
+  if (key != 0) bind(key, conn);
+  wire::Message reply = handler_(request.value());
+  if (key != 0 && std::holds_alternative<wire::ErrorReply>(reply)) {
+    // A refused subscription binds nothing — unless a later request has
+    // already moved the key elsewhere.
+    std::lock_guard lock(mu_);
+    auto it = bound_.find(key);
+    if (it != bound_.end() && it->second == conn) bound_.erase(it);
+  }
+  enqueue_reply(conn, corr, reply);
+}
+
+void RpcServer::bind(std::uint64_t key,
+                     const std::shared_ptr<Reactor::Conn>& conn) {
+  std::lock_guard lock(mu_);
+  // A connection is marked dead before its on_close runs, and on_close
+  // erases under mu_: checked here, no binding outlives its connection.
+  if (stopping_.load() || conn->dead()) return;
+  bound_[key] = conn;
+}
+
+void RpcServer::unbind(std::uint64_t key) {
+  std::lock_guard lock(mu_);
+  bound_.erase(key);
+}
+
+std::size_t RpcServer::bound_keys() const {
+  std::lock_guard lock(mu_);
+  return bound_.size();
+}
+
+Status RpcServer::push(std::uint64_t key, const wire::Message& message) {
+  std::shared_ptr<Reactor::Conn> conn;
+  {
+    std::lock_guard lock(mu_);
+    auto it = bound_.find(key);
+    if (it == bound_.end()) {
+      return make_error(ErrorCode::kNotFound,
+                        "no connection bound to key " + std::to_string(key));
+    }
+    conn = it->second;
+  }
+  auto payload = wire::encode_message(message);
+  if (fault_ != nullptr) {
+    const fault::Outcome outcome = fault_->sample(fault::Site::kPushFrame);
+    if (outcome.action == fault::Action::kDrop) {
+      // A lost push: reported as sent, never delivered. The connection
+      // stays up; the dispatcher's stale-notification sweep (or the result
+      // stream's ack protocol) is what recovers.
+      return ok_status();
+    }
+    if (outcome.action == fault::Action::kDelay) {
+      conn->pause_output(std::max(outcome.param, 0.0));
+    } else if (outcome.action == fault::Action::kCorrupt) {
+      corrupt_payload(payload);
+    }
+  }
+  if (conn->overloaded()) {
+    // Slow reader past the high watermark: shed the push instead of
+    // buffering without bound. Like an injected drop, the protocol above
+    // recovers it if it mattered.
+    if (m_bp_drops_ != nullptr) m_bp_drops_->inc();
+    return ok_status();
+  }
+  return conn->send_frame(0, payload);
 }
 
 void RpcServer::on_close(const std::shared_ptr<Reactor::Conn>& conn) {
   std::lock_guard lock(mu_);
+  std::erase_if(bound_, [&](const auto& entry) { return entry.second == conn; });
   connections_.erase(
       std::remove_if(connections_.begin(), connections_.end(),
                      [&](const std::weak_ptr<Reactor::Conn>& weak) {
@@ -302,9 +374,10 @@ struct RpcClient::Impl {
   std::mutex write_mu;  // serialises frame writes (and request faults)
   std::mutex mu;        // guards pending/next_corr/broken
   std::unordered_map<std::uint64_t, std::shared_ptr<CallState>> pending;
-  std::uint64_t next_corr{1};
+  std::uint64_t next_corr{1};  // 0 marks a server push
   bool broken{false};
   Error broken_error{ErrorCode::kClosed, "connection closed"};
+  PushHandler on_push;
   std::thread reader;
 
   static void complete(const std::shared_ptr<CallState>& cs,
@@ -343,6 +416,14 @@ struct RpcClient::Impl {
         // connection, so all of them fail with the stream's error.
         fail_all(status.error());
         return;
+      }
+      if (frame.corr == 0) {
+        // A server push. One that fails to decode (an injected corruption)
+        // is dropped like a lost push; the stream itself stays aligned.
+        if (!on_push) continue;
+        auto pushed = wire::decode_message(frame.payload);
+        if (pushed.ok()) on_push(pushed.take());
+        continue;
       }
       std::shared_ptr<CallState> cs;
       {
@@ -384,7 +465,7 @@ RpcClient::~RpcClient() {
 Result<RpcClient> RpcClient::connect(const std::string& host,
                                      std::uint16_t port,
                                      fault::FaultInjector* fault,
-                                     obs::Obs* obs) {
+                                     obs::Obs* obs, PushHandler on_push) {
   if (fault != nullptr) {
     const fault::Outcome outcome = fault->sample(fault::Site::kRpcConnect);
     if (outcome.action == fault::Action::kDrop) {
@@ -400,6 +481,7 @@ Result<RpcClient> RpcClient::connect(const std::string& host,
   auto impl = std::make_unique<Impl>();
   impl->stream = stream.take();
   impl->fault = fault;
+  impl->on_push = std::move(on_push);
   if (obs != nullptr) {
     impl->m_inflight = &obs->registry().gauge("falkon.net.rpc.inflight");
   }
@@ -445,253 +527,6 @@ Result<wire::Message> RpcClient::call(const wire::Message& request) {
 
 void RpcClient::close() {
   if (impl_) impl_->stream.shutdown();
-}
-
-// ---- PushServer ------------------------------------------------------
-
-PushServer::~PushServer() { stop(); }
-
-Status PushServer::start(std::uint16_t port, fault::FaultInjector* fault,
-                         obs::Obs* obs, PushServerOptions options) {
-  const bool reuseport = options.reactor != nullptr
-                             ? options.reactor->options().reuseport
-                             : options.reuseport;
-  auto listener = TcpListener::bind(port, reuseport);
-  if (!listener.ok()) return listener.error();
-  listener_ = listener.take();
-  fault_ = fault;
-  if (obs != nullptr) {
-    m_bp_drops_ =
-        &obs->registry().counter("falkon.net.push.backpressure_drops");
-  }
-  if (options.reactor != nullptr) {
-    reactor_ = options.reactor;
-  } else {
-    ReactorOptions ropts;
-    ropts.n_loops = options.n_loops;
-    ropts.high_watermark_bytes = options.high_watermark_bytes;
-    ropts.low_watermark_bytes = options.low_watermark_bytes;
-    ropts.obs = obs;
-    ropts.reuseport = options.reuseport;
-    owned_reactor_ = std::make_unique<Reactor>(ropts);
-    if (auto status = owned_reactor_->start(); !status.ok()) {
-      listener_.close();
-      return status;
-    }
-    reactor_ = owned_reactor_.get();
-  }
-  reactor_->add_listener(listener_.fd(), [this](int fd) { on_accept(fd); });
-  if (reuseport) {
-    for (int i = 1; i < reactor_->n_loops(); ++i) {
-      auto sibling = TcpListener::bind(listener_.port(), true);
-      if (!sibling.ok()) break;  // degraded, never fatal: primary accepts
-      siblings_.push_back(sibling.take());
-      reactor_->add_listener(siblings_.back().fd(),
-                             [this](int fd) { on_accept(fd); });
-    }
-  }
-  started_ = true;
-  return ok_status();
-}
-
-void PushServer::stop() {
-  if (!started_) return;
-  stopping_.store(true);
-  reactor_->remove_listener(listener_.fd());
-  for (auto& sibling : siblings_) reactor_->remove_listener(sibling.fd());
-  {
-    std::lock_guard lock(mu_);
-    subscribers_.clear();
-    for (auto& weak : connections_) {
-      if (auto conn = weak.lock()) conn->close();
-    }
-  }
-  reactor_->barrier();
-  listener_.close();
-  for (auto& sibling : siblings_) sibling.close();
-  siblings_.clear();
-  if (owned_reactor_) owned_reactor_->stop();
-  started_ = false;
-}
-
-void PushServer::on_accept(int fd) {
-  if (stopping_.load()) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-    return;
-  }
-  auto conn = reactor_->adopt(
-      fd,
-      [this](const std::shared_ptr<Reactor::Conn>& c, std::uint64_t /*corr*/,
-             std::vector<std::uint8_t>&& payload) {
-        on_frame(c, std::move(payload));
-      },
-      [this](const std::shared_ptr<Reactor::Conn>& c) { on_close(c); });
-  std::lock_guard lock(mu_);
-  connections_.erase(
-      std::remove_if(connections_.begin(), connections_.end(),
-                     [](const std::weak_ptr<Reactor::Conn>& weak) {
-                       return weak.expired();
-                     }),
-      connections_.end());
-  connections_.push_back(conn);
-}
-
-void PushServer::on_frame(const std::shared_ptr<Reactor::Conn>& conn,
-                          std::vector<std::uint8_t>&& payload) {
-  // The only executor->dispatcher traffic on this channel is the tiny
-  // subscription Notify; decode it inline on the loop (no handshake
-  // threads). Anything else is a protocol violation and severs the
-  // connection.
-  auto message = wire::decode_message(payload);
-  conn->recycle(std::move(payload));
-  if (!message.ok()) {
-    conn->close();
-    return;
-  }
-  const auto* notify = std::get_if<wire::Notify>(&message.value());
-  if (notify == nullptr) {
-    conn->close();
-    return;
-  }
-  std::shared_ptr<Reactor::Conn> displaced;
-  {
-    std::lock_guard lock(mu_);
-    if (stopping_.load()) {
-      conn->close();
-      return;
-    }
-    auto& slot = subscribers_[notify->executor_id.value];
-    if (slot != conn) displaced = std::move(slot);
-    slot = conn;
-  }
-  // The subscription key is the push key for the connection's lifetime;
-  // migrate it to the key's loop so pushes for this executor are enqueued
-  // and flushed on the same shard that owns its RPC connection.
-  conn->set_affinity(notify->executor_id.value);
-  if (displaced) displaced->close();
-}
-
-void PushServer::on_close(const std::shared_ptr<Reactor::Conn>& conn) {
-  std::lock_guard lock(mu_);
-  for (auto it = subscribers_.begin(); it != subscribers_.end(); ++it) {
-    if (it->second == conn) {
-      subscribers_.erase(it);
-      break;
-    }
-  }
-  connections_.erase(
-      std::remove_if(connections_.begin(), connections_.end(),
-                     [&](const std::weak_ptr<Reactor::Conn>& weak) {
-                       auto locked = weak.lock();
-                       return locked == nullptr || locked == conn;
-                     }),
-      connections_.end());
-}
-
-Status PushServer::push(std::uint64_t key, const wire::Message& message) {
-  std::shared_ptr<Reactor::Conn> conn;
-  {
-    std::lock_guard lock(mu_);
-    auto it = subscribers_.find(key);
-    if (it == subscribers_.end()) {
-      return make_error(ErrorCode::kNotFound,
-                        "no subscriber with key " + std::to_string(key));
-    }
-    conn = it->second;
-  }
-  auto payload = wire::encode_message(message);
-  if (fault_ != nullptr) {
-    const fault::Outcome outcome = fault_->sample(fault::Site::kPushFrame);
-    if (outcome.action == fault::Action::kDrop) {
-      // A lost notification: reported as sent, never delivered. The
-      // subscriber stays connected; the dispatcher's stale-notification
-      // sweep is what recovers the executor.
-      return ok_status();
-    }
-    if (outcome.action == fault::Action::kDelay) {
-      conn->pause_output(std::max(outcome.param, 0.0));
-    } else if (outcome.action == fault::Action::kCorrupt) {
-      corrupt_payload(payload);
-    }
-  }
-  if (conn->overloaded()) {
-    // Slow subscriber past the high watermark: shed the notification
-    // instead of buffering without bound. Like an injected drop, the
-    // renotify sweep recovers the executor if the hint mattered.
-    if (m_bp_drops_ != nullptr) m_bp_drops_->inc();
-    return ok_status();
-  }
-  return conn->send_frame(0, payload);
-}
-
-void PushServer::drop_subscriber(std::uint64_t key) {
-  std::shared_ptr<Reactor::Conn> conn;
-  {
-    std::lock_guard lock(mu_);
-    auto it = subscribers_.find(key);
-    if (it != subscribers_.end()) {
-      conn = std::move(it->second);
-      subscribers_.erase(it);
-    }
-  }
-  if (conn) conn->close();
-}
-
-std::size_t PushServer::subscriber_count() const {
-  std::lock_guard lock(mu_);
-  return subscribers_.size();
-}
-
-// ---- PushReceiver ----------------------------------------------------
-
-PushReceiver::~PushReceiver() { stop(); }
-
-Status PushReceiver::start(const std::string& host, std::uint16_t port,
-                           std::uint64_t key, Callback callback) {
-  // A receiver may be restarted after stop() (a failover client resubscribes
-  // this way); the new read loop must not see the old stop request.
-  stopping_.store(false);
-  auto stream = TcpStream::connect(host, port);
-  if (!stream.ok()) return stream.error();
-  stream_ = std::make_shared<TcpStream>(stream.take());
-  callback_ = std::move(callback);
-
-  // Subscribe: a Notify frame carrying our key, flowing executor->dispatcher.
-  wire::Notify subscribe;
-  subscribe.executor_id = ExecutorId{key};
-  if (auto status =
-          wire::write_frame(*stream_, wire::encode_message(subscribe));
-      !status.ok()) {
-    return status;
-  }
-  if (threads_ != nullptr) {
-    read_ticket_ = threads_->run([this] { read_loop(); });
-  } else {
-    read_thread_ = std::thread([this] { read_loop(); });
-  }
-  return ok_status();
-}
-
-void PushReceiver::stop() {
-  stopping_.store(true);
-  if (stream_) stream_->shutdown();
-  if (read_thread_.joinable()) read_thread_.join();
-  if (read_ticket_ != 0) {
-    threads_->wait(read_ticket_);
-    read_ticket_ = 0;
-  }
-}
-
-void PushReceiver::read_loop() {
-  wire::Frame frame;
-  for (;;) {
-    if (auto status = wire::read_frame(*stream_, frame); !status.ok()) return;
-    auto message = wire::decode_message(frame.payload);
-    if (!message.ok()) continue;
-    if (stopping_.load()) return;
-    callback_(message.value());
-  }
 }
 
 }  // namespace falkon::net

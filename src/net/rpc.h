@@ -1,11 +1,15 @@
-// Request/response RPC and push-notification channels over TCP.
+// Request/response RPC over TCP, with server-initiated pushes on the same
+// connection.
 //
 // This is the C++ stand-in for the GT4 WS container of the original Falkon:
-//   * RpcServer/RpcClient carry the WS-style request/response operations
-//     (submit, get-work, deliver-result, status, ...);
-//   * PushServer/PushReceiver carry the custom TCP notification protocol of
-//     paper section 3.3 (implementation alternative 2: the executor is a
-//     plain client that subscribes for notifications).
+// RpcServer/RpcClient carry the WS-style request/response operations
+// (submit, get-work, deliver-result, status, ...) and also the custom
+// notification protocol of paper section 3.3 (implementation alternative
+// 2: the executor is a plain client that subscribes for notifications). A
+// peer subscribes with an ordinary request that binds its connection to a
+// key; the server then pushes frames to that key with correlation id 0,
+// which no call ever uses, and the client's reader hands them to a
+// callback.
 //
 // The RPC channel is *pipelined*: every frame carries a correlation id, the
 // client keeps many calls outstanding on one connection and a reader thread
@@ -56,12 +60,12 @@ struct RpcServerOptions {
   /// the pool.
   std::function<bool(std::uint8_t type_tag, std::size_t payload_bytes)>
       run_on_loop;
-  /// Optional metrics sink (falkon.net.frames_coalesced plus the
-  /// falkon.net.reactor.* family when the server owns its reactor).
+  /// Optional metrics sink (falkon.net.frames_coalesced,
+  /// falkon.net.push.backpressure_drops, plus the falkon.net.reactor.*
+  /// family when the server owns its reactor).
   obs::Obs* obs{nullptr};
-  /// Run on this shared reactor instead of owning one (the TCP service
-  /// shares a single loop between RPC and push). Watermark/n_loops fields
-  /// below only apply to an owned reactor.
+  /// Run on this shared reactor instead of owning one. Watermark/n_loops
+  /// fields below only apply to an owned reactor.
   Reactor* reactor{nullptr};
   int n_loops{1};
   std::size_t high_watermark_bytes{8u << 20};
@@ -81,6 +85,14 @@ struct RpcServerOptions {
   /// modulo partition the dispatcher registry uses, so one executor's whole
   /// exchange stays on one loop. Return 0 for requests that carry no key.
   std::function<std::uint64_t(const wire::Message&)> affinity_key;
+  /// Optional subscription extractor: given a decoded request, return a
+  /// nonzero key to bind the connection it arrived on to that key for
+  /// push(). The binding is made before the handler runs, so a push the
+  /// handler itself triggers already finds the connection, and undone when
+  /// the handler answers with an ErrorReply. A key names one connection
+  /// (binding it again moves it); a connection may hold many keys, and all
+  /// of them end when it closes.
+  std::function<std::uint64_t(const wire::Message&)> bind_key;
 };
 
 /// Accepts connections on the reactor and serves framed request/response
@@ -88,7 +100,9 @@ struct RpcServerOptions {
 /// threads); requests are decoded and handled on the shared pool (or on the
 /// loop, when RpcServerOptions::run_on_loop admits them), and replies are
 /// written through, or coalesced from the connection outbox when the socket
-/// backs up.
+/// backs up. push() writes server-initiated frames (correlation id 0) on
+/// connections bound by RpcServerOptions::bind_key, through the same send
+/// path, so pushes and replies never interleave bytes mid-frame.
 class RpcServer {
  public:
   RpcServer() = default;
@@ -110,6 +124,18 @@ class RpcServer {
   [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
   [[nodiscard]] std::size_t active_connections() const;
 
+  /// Push `message` as a correlation-id-0 frame on the connection bound to
+  /// `key`; kNotFound if none is. Safe from any thread, never blocks. A
+  /// connection whose outbox is past the high watermark has the frame shed
+  /// (falkon.net.push.backpressure_drops) and the call still succeeds —
+  /// pushed frames are hints the protocol can recover, never replies.
+  /// `fault` (see start) injects Site::kPushFrame faults here.
+  Status push(std::uint64_t key, const wire::Message& message);
+  /// End `key`'s binding; its connection stays open.
+  void unbind(std::uint64_t key);
+  /// Keys currently bound to a connection.
+  [[nodiscard]] std::size_t bound_keys() const;
+
  private:
   void on_accept(int fd);
   void on_frame(const std::shared_ptr<Reactor::Conn>& conn,
@@ -121,6 +147,7 @@ class RpcServer {
   void on_close(const std::shared_ptr<Reactor::Conn>& conn);
   void enqueue_reply(const std::shared_ptr<Reactor::Conn>& conn,
                      std::uint64_t corr, const wire::Message& reply);
+  void bind(std::uint64_t key, const std::shared_ptr<Reactor::Conn>& conn);
 
   TcpListener listener_;
   /// Reuseport accept mode: additional listeners sharing listener_'s port,
@@ -129,13 +156,17 @@ class RpcServer {
   RpcHandler handler_;
   std::function<std::uint64_t(const wire::Message&)> affinity_key_;
   std::function<bool(std::uint8_t, std::size_t)> run_on_loop_;
+  std::function<std::uint64_t(const wire::Message&)> bind_key_;
   fault::FaultInjector* fault_{nullptr};
+  obs::Counter* m_bp_drops_{nullptr};
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Reactor> owned_reactor_;
   Reactor* reactor_{nullptr};
   int sndbuf_bytes_{0};
   mutable std::mutex mu_;
   std::vector<std::weak_ptr<Reactor::Conn>> connections_;
+  /// push() routing: key -> the connection it is bound to.
+  std::unordered_map<std::uint64_t, std::shared_ptr<Reactor::Conn>> bound_;
   std::atomic<bool> stopping_{false};
   bool started_{false};
 };
@@ -149,14 +180,23 @@ class RpcServer {
 /// intact framing) fails only the call it correlates to; a stream-level
 /// error (drop, truncation, peer death) fails every call in flight on the
 /// connection, which is exactly the set mapped to the lost stream.
+///
+/// Frames with correlation id 0 are server pushes, not replies: the reader
+/// hands each one that decodes to `on_push`, on the reader thread. The
+/// callback must not block and must not call() — replies queued behind it
+/// on the stream wait until it returns.
 class RpcClient {
  public:
+  using PushHandler = std::function<void(wire::Message)>;
+
   /// `fault` (optional, test-only) injects connect faults at
   /// Site::kRpcConnect and request-frame faults at Site::kRpcRequest.
   /// `obs` (optional) exposes the falkon.net.rpc.inflight gauge.
+  /// `on_push` (optional) receives server pushes; unset, they are dropped.
   static Result<RpcClient> connect(const std::string& host, std::uint16_t port,
                                    fault::FaultInjector* fault = nullptr,
-                                   obs::Obs* obs = nullptr);
+                                   obs::Obs* obs = nullptr,
+                                   PushHandler on_push = {});
 
   RpcClient(RpcClient&&) noexcept;
   RpcClient& operator=(RpcClient&&) noexcept;
@@ -178,103 +218,6 @@ class RpcClient {
   explicit RpcClient(std::unique_ptr<Impl> impl);
 
   std::unique_ptr<Impl> impl_;
-};
-
-struct PushServerOptions {
-  /// Run on this shared reactor instead of owning one. Watermark/n_loops
-  /// fields only apply to an owned reactor.
-  Reactor* reactor{nullptr};
-  int n_loops{1};
-  std::size_t high_watermark_bytes{8u << 20};
-  std::size_t low_watermark_bytes{1u << 20};
-  /// Owned-reactor mirror of ReactorOptions::reuseport (see
-  /// RpcServerOptions::reuseport).
-  bool reuseport{false};
-};
-
-/// Dispatcher-side notification fan-out. Executors connect and send one
-/// subscription frame (a Notify carrying their executor id); afterwards the
-/// dispatcher pushes frames to them by key. Connections are reactor-owned:
-/// the subscription frame is decoded on the loop (no handshake threads) and
-/// pushes go out through the connection's send path, which serialises the
-/// stream so concurrent pushes can never interleave bytes mid-frame. A
-/// subscriber whose outbox is past the high watermark has new notifications
-/// shed (falkon.net.push.backpressure_drops) — a lost notification is
-/// recoverable, the dispatcher's stale-notification sweep re-sends it.
-class PushServer {
- public:
-  PushServer() = default;
-  ~PushServer();
-
-  PushServer(const PushServer&) = delete;
-  PushServer& operator=(const PushServer&) = delete;
-
-  /// `fault` (optional, test-only) injects push-frame faults at
-  /// Site::kPushFrame (drop = the notification silently vanishes).
-  /// `obs` (optional) feeds falkon.net.frames_coalesced and
-  /// falkon.net.push.backpressure_drops.
-  Status start(std::uint16_t port = 0, fault::FaultInjector* fault = nullptr,
-               obs::Obs* obs = nullptr, PushServerOptions options = {});
-  void stop();
-
-  /// Push a message to subscriber `key`; kNotFound if no such subscriber.
-  Status push(std::uint64_t key, const wire::Message& message);
-
-  void drop_subscriber(std::uint64_t key);
-  [[nodiscard]] std::size_t subscriber_count() const;
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
-
- private:
-  void on_accept(int fd);
-  void on_frame(const std::shared_ptr<Reactor::Conn>& conn,
-                std::vector<std::uint8_t>&& payload);
-  void on_close(const std::shared_ptr<Reactor::Conn>& conn);
-
-  TcpListener listener_;
-  /// Reuseport accept mode: additional listeners sharing listener_'s port,
-  /// one per remaining reactor loop.
-  std::vector<TcpListener> siblings_;
-  fault::FaultInjector* fault_{nullptr};
-  obs::Counter* m_bp_drops_{nullptr};
-  std::unique_ptr<Reactor> owned_reactor_;
-  Reactor* reactor_{nullptr};
-  mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Reactor::Conn>>
-      subscribers_;
-  std::vector<std::weak_ptr<Reactor::Conn>> connections_;
-  std::atomic<bool> stopping_{false};
-  bool started_{false};
-};
-
-/// Executor-side notification listener: connects, subscribes, then invokes
-/// a callback for every pushed message on a background thread — a thread
-/// of its own, or one borrowed from a ThreadCache.
-class PushReceiver {
- public:
-  using Callback = std::function<void(const wire::Message&)>;
-
-  PushReceiver() = default;
-  /// Run the read loop on a thread from `threads` (which must outlive this
-  /// receiver) instead of starting a thread per start().
-  explicit PushReceiver(ThreadCache* threads) : threads_(threads) {}
-  ~PushReceiver();
-
-  PushReceiver(const PushReceiver&) = delete;
-  PushReceiver& operator=(const PushReceiver&) = delete;
-
-  Status start(const std::string& host, std::uint16_t port, std::uint64_t key,
-               Callback callback);
-  void stop();
-
- private:
-  void read_loop();
-
-  std::shared_ptr<TcpStream> stream_;
-  Callback callback_;
-  std::thread read_thread_;
-  ThreadCache* threads_{nullptr};
-  ThreadCache::Ticket read_ticket_{0};  // 0: no read loop on threads_
-  std::atomic<bool> stopping_{false};
 };
 
 }  // namespace falkon::net

@@ -317,7 +317,7 @@ RunHistory run_tcp(const WorkloadSpec& spec, double deadline_s) {
   }
   core::Dispatcher dispatcher(clock, dconfig, std::move(policy));
   core::TcpDispatcherServer server(dispatcher, &obs);
-  if (auto status = server.start(0, 0, injector.get()); !status.ok()) {
+  if (auto status = server.start(0, injector.get()); !status.ok()) {
     history.run_error = "server start: " + status.error().str();
     return history;
   }
@@ -581,7 +581,7 @@ RunHistory run_tcp_ha(const WorkloadSpec& spec, const HaRunOptions& ha) {
   dconfig.journal = journal;
   auto dispatcher = std::make_unique<core::Dispatcher>(clock, dconfig);
   auto server = std::make_unique<core::TcpDispatcherServer>(*dispatcher, &obs);
-  if (auto status = server->start(0, 0, injector.get()); !status.ok()) {
+  if (auto status = server->start(0, injector.get()); !status.ok()) {
     history.run_error = "server start: " + status.error().str();
     return history;
   }
@@ -589,7 +589,6 @@ RunHistory run_tcp_ha(const WorkloadSpec& spec, const HaRunOptions& ha) {
   server->set_epoch(primary_epoch);
   history.primary_epochs.push_back(primary_epoch);
   const std::uint16_t rpc_port = server->rpc_port();
-  const std::uint16_t push_port = server->push_port();
 
   // Standby fleet: full election mesh, every standby fencing through the
   // primary's (shared, same-host) log directory.
@@ -611,7 +610,6 @@ RunHistory run_tcp_ha(const WorkloadSpec& spec, const HaRunOptions& ha) {
                              static_cast<std::uint32_t>(j)});
     }
     sopts.takeover_rpc_port = rpc_port;
-    sopts.takeover_push_port = push_port;
     sopts.shared_log_dir = primary_dir;
     sopts.standby_dir = scratch.path() + "/standby" + std::to_string(i);
     std::filesystem::create_directories(sopts.standby_dir, ec);
@@ -646,7 +644,7 @@ RunHistory run_tcp_ha(const WorkloadSpec& spec, const HaRunOptions& ha) {
     eopts.backoff.max_s = 0.2;
     eopts.takeover_probe_s = 0.1;
     auto harness = std::make_unique<core::TcpExecutorHarness>(
-        clock, "127.0.0.1", rpc_port, push_port,
+        clock, "127.0.0.1", rpc_port, /*push_port=*/0,
         std::make_unique<core::SleepEngine>(clock), eopts);
     if (harness->start().ok()) cell = std::move(harness);
   };

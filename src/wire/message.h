@@ -4,7 +4,8 @@
 //   client <-> dispatcher : create/destroy instance, submit {1,2},
 //                           wait-results {9,10}, results {8} (a pushed
 //                           ResultStream, or the blocking wait-results reply)
-//   dispatcher -> executor: notify {3} (push channel)
+//   dispatcher -> executor: notify {3} (pushed on the executor's RPC
+//                           connection; sent as a call, it subscribes)
 //   executor <-> dispatcher: register, get-work {4,5}, deliver-result {6},
 //                           ack + piggy-backed next tasks {7}
 //   provisioner <-> dispatcher: status poll {POLL}
@@ -350,21 +351,22 @@ struct DataEvict {
 // ---- push-mode result streaming (docs/PROTOCOL.md) -------------------
 
 /// Client -> dispatcher (RPC): enter push-mode result streaming for an
-/// instance already subscribed on the notification channel, or acknowledge
-/// streamed results. `ack_seq = 0` (re)subscribes — the dispatcher resets
+/// instance, or acknowledge streamed results. Either way it binds the
+/// connection it arrives on as the instance's push target. `ack_seq = 0`
+/// (re)subscribes — the dispatcher resets
 /// its streaming cursor and re-pushes the whole mailbox backlog (the client
 /// dedups by task id, so re-delivery is safe). `ack_seq > 0` is a
 /// cumulative acknowledgement of every ResultStream frame with
 /// `seq <= ack_seq`; acknowledged results are removed from the mailbox and
 /// journaled as delivered (docs/HA.md). The reply is a ResultStream frame
 /// whose `seq` reports the dispatcher's current push cursor (empty result
-/// array — actual batches flow on the push channel).
+/// array — actual batches arrive as pushes).
 struct SubscribeResults {
   InstanceId instance_id;
   std::uint64_t ack_seq{0};
 };
 
-/// Dispatcher -> client (push channel): a drained mailbox batch. `seq` is
+/// Dispatcher -> client (pushed, correlation id 0): a drained mailbox batch. `seq` is
 /// the cumulative count of results streamed to this instance since the last
 /// subscribe — the client echoes the highest seen value back as
 /// `SubscribeResults.ack_seq`. Streamed results stay in the mailbox until

@@ -104,7 +104,7 @@ TEST(ChaosTcp, SoakEveryTaskReachesExactlyOneTerminalState) {
   config.fault = &injector;
   Dispatcher dispatcher(clock, config);
   TcpDispatcherServer server(dispatcher, &obs);
-  ASSERT_TRUE(server.start(0, 0, &injector).ok());
+  ASSERT_TRUE(server.start(0, &injector).ok());
 
   // Executor fleet with a supervisor: injected crashes (and executors torn
   // down by false suspicions) exit their runtime; the supervisor respawns
@@ -314,15 +314,13 @@ TEST(ChaosHa, PrimaryKilledMidRunStandbyFinishesExactlyOnce) {
   auto dispatcher =
       std::make_unique<Dispatcher>(clock, make_config(journal.value().get()));
   auto server = std::make_unique<TcpDispatcherServer>(*dispatcher, &obs);
-  ASSERT_TRUE(server->start(0, 0, &injector).ok());
+  ASSERT_TRUE(server->start(0, &injector).ok());
   server->set_replication_source(journal.value().get());
   const std::uint16_t rpc_port = server->rpc_port();
-  const std::uint16_t push_port = server->push_port();
 
   ha::StandbyOptions sopts;
   sopts.primary_rpc_port = rpc_port;
   sopts.takeover_rpc_port = rpc_port;
-  sopts.takeover_push_port = push_port;
   sopts.shared_log_dir = primary_dir.path();
   sopts.standby_dir = standby_dir.path();
   sopts.poll_interval_s = 0.01;
@@ -347,7 +345,7 @@ TEST(ChaosHa, PrimaryKilledMidRunStandbyFinishesExactlyOnce) {
     options.backoff.max_s = 0.25;
     options.fault = &injector;
     auto harness = std::make_unique<TcpExecutorHarness>(
-        clock, "127.0.0.1", rpc_port, push_port,
+        clock, "127.0.0.1", rpc_port, /*push_port=*/0,
         std::make_unique<NoopEngine>(), options);
     if (harness->start().ok()) fleet[slot] = std::move(harness);
   };

@@ -526,7 +526,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---- batched routing + push-mode result streaming ----
 
 /// ClientSink double recording pushed ResultStream batches; `accept` false
-/// makes deliver() refuse the batch (no subscriber on the push channel),
+/// makes deliver() refuse the batch (no connection bound to the instance),
 /// which must drop the instance back to polling.
 struct RecordingClientSink final : ClientSink {
   std::mutex mu;

@@ -237,9 +237,9 @@ TEST(ExecutorWakeup, EmptyPiggybackWaitsForNotifyOverTcp) {
                               server.push_port(),
                               std::make_unique<NoopEngine>(), options);
   ASSERT_TRUE(executor.start().ok());
-  // The push subscription is registered on a reactor loop: drain every
-  // loop (accept handoff, registration, subscribe frame) so the first
-  // notification cannot race ahead of it.
+  // The subscription is bound before start() returns; draining every loop
+  // also settles the connection's affinity migration before the first
+  // notification.
   for (int i = 0; i < 3; ++i) server.reactor().barrier();
   auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port());
   ASSERT_TRUE(client.ok());

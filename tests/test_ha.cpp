@@ -137,13 +137,19 @@ TEST(HaStandby, TailsPrimaryAndAcksProgress) {
                               polling_executor(1, obs));
   ASSERT_TRUE(executor.start().ok());
 
+  // The standby stores applied_lsn before its ReplAck reaches the primary,
+  // so the primary's acked_lsn gauge catches up a moment later: wait for
+  // it too, inside the same deadline.
+  const obs::Gauge& acked = obs.registry().gauge("falkon.ha.repl.acked_lsn");
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (dispatcher.status().completed < 50 ||
-         standby.applied_lsn() < journal.value()->last_lsn()) {
+         standby.applied_lsn() < journal.value()->last_lsn() ||
+         acked.value() != static_cast<double>(standby.applied_lsn())) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "standby lagging: applied=" << standby.applied_lsn()
-        << " last_lsn=" << journal.value()->last_lsn();
+        << " last_lsn=" << journal.value()->last_lsn()
+        << " acked=" << acked.value();
     nap_ms(10);
   }
 
@@ -246,9 +252,9 @@ TEST(HaClient, DuplicateSubmitSeqIsAcknowledgedNotReenqueued) {
 /// recovers: from the primary's journal directory (authoritative) or from
 /// its warm in-memory image (bootstrap into its own directory).
 /// `streamed_client` runs the failover client in push-mode result
-/// streaming: the takeover severs the push connection, results keep
-/// flowing through the polling fallback, and the client resubscribes
-/// against the promoted dispatcher.
+/// streaming: the takeover severs the connection and its subscription,
+/// results keep flowing through the polling fallback, and the client
+/// resubscribes on its connection to the promoted dispatcher.
 void run_failover_scenario(bool shared_log, bool streamed_client = false) {
   constexpr std::uint64_t kTasks = 200;
   constexpr int kExecutors = 3;
@@ -269,12 +275,10 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
   ASSERT_TRUE(server->start().ok());
   server->set_replication_source(journal.value().get());
   const std::uint16_t rpc_port = server->rpc_port();
-  const std::uint16_t push_port = server->push_port();
 
   StandbyOptions sopts;
   sopts.primary_rpc_port = rpc_port;
   sopts.takeover_rpc_port = rpc_port;
-  sopts.takeover_push_port = push_port;
   if (shared_log) sopts.shared_log_dir = primary_dir.path();
   sopts.standby_dir = standby_dir.path();
   sopts.poll_interval_s = 0.01;
@@ -287,7 +291,7 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
   std::vector<std::unique_ptr<TcpExecutorHarness>> fleet;
   for (int i = 0; i < kExecutors; ++i) {
     fleet.push_back(std::make_unique<TcpExecutorHarness>(
-        clock, "127.0.0.1", rpc_port, push_port,
+        clock, "127.0.0.1", rpc_port, /*push_port=*/0,
         std::make_unique<SleepEngine>(clock),
         polling_executor(static_cast<std::uint64_t>(i + 1), obs)));
     ASSERT_TRUE(fleet.back()->start().ok());
@@ -295,7 +299,7 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
 
   FailoverClientOptions copts;
   copts.rpc_port = rpc_port;
-  if (streamed_client) copts.push_port = push_port;
+  copts.stream_results = streamed_client;
   copts.max_attempts = 400;
   copts.backoff_initial_s = 0.01;
   copts.backoff_max_s = 0.2;
@@ -379,8 +383,8 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
   }
   EXPECT_EQ(ids.size(), kTasks);
   // A streamed client stays in streaming mode across the takeover (the
-  // fallback poll that found results re-armed the push subscription
-  // against the promoted dispatcher).
+  // fallback poll that found results re-armed the subscription on the
+  // connection to the promoted dispatcher).
   EXPECT_EQ(client.streaming(instance.value()), streamed_client);
 
   // The client observed the outage and reconnected through it.
@@ -516,10 +520,10 @@ TEST(HaClient, ResyncsEpochAfterFenceRejection) {
 }
 
 TEST(HaClient, StreamedInstanceGetsResultsOnTheStream) {
-  // create_instance stops and restarts the instance's push receiver; the
-  // restarted receiver must deliver the pushed ResultStream frames. If it
-  // dropped them, every wait would sit out its full timeout and then pick
-  // the results up through the one-shot poll fallback.
+  // create_instance subscribes the instance on the client's connection,
+  // whose reader must hand the pushed ResultStream frames to the stream. If
+  // they were dropped, every wait would sit out its full timeout and then
+  // pick the results up through the one-shot poll fallback.
   constexpr std::uint64_t kTasks = 50;
   constexpr double kWaitTimeoutS = 10.0;
   RealClock clock;
@@ -537,7 +541,7 @@ TEST(HaClient, StreamedInstanceGetsResultsOnTheStream) {
 
   FailoverClientOptions copts;
   copts.rpc_port = server.rpc_port();
-  copts.push_port = server.push_port();
+  copts.stream_results = true;
   FailoverClient client(copts);
   auto instance = client.create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok());
@@ -659,7 +663,6 @@ TEST(HaElection, TwoStandbysExactlyOnePromotes) {
   ASSERT_TRUE(server->start().ok());
   server->set_replication_source(journal.value().get());
   const std::uint16_t rpc_port = server->rpc_port();
-  const std::uint16_t push_port = server->push_port();
 
   const std::uint16_t eport0 = reserve_port();
   const std::uint16_t eport1 = reserve_port();
@@ -673,7 +676,6 @@ TEST(HaElection, TwoStandbysExactlyOnePromotes) {
     sopts.election_port = my_port;
     sopts.peers.push_back({"127.0.0.1", peer_port, peer_rank});
     sopts.takeover_rpc_port = rpc_port;
-    sopts.takeover_push_port = push_port;
     sopts.shared_log_dir = primary_dir.path();
     sopts.standby_dir = dir;
     sopts.poll_interval_s = 0.01;
@@ -692,7 +694,7 @@ TEST(HaElection, TwoStandbysExactlyOnePromotes) {
   std::vector<std::unique_ptr<TcpExecutorHarness>> fleet;
   for (int i = 0; i < 3; ++i) {
     fleet.push_back(std::make_unique<TcpExecutorHarness>(
-        clock, "127.0.0.1", rpc_port, push_port,
+        clock, "127.0.0.1", rpc_port, /*push_port=*/0,
         std::make_unique<SleepEngine>(clock),
         polling_executor(static_cast<std::uint64_t>(i + 1), obs)));
     ASSERT_TRUE(fleet.back()->start().ok());

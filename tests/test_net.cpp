@@ -1,7 +1,7 @@
 // TCP substrate tests: sockets and their buffered frame reads, the reactor
-// event loop and its write-through sends, RPC request/response, push
-// notifications, and the watermark backpressure and fd-exhaustion paths of
-// the server side.
+// event loop and its write-through sends, RPC request/response, keyed
+// pushes on the RPC connection, and the watermark backpressure and
+// fd-exhaustion paths of the server side.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/ioctl.h>
@@ -302,56 +302,6 @@ TEST(Rpc, InflightGaugeRegistersWithObs) {
   server.stop();
 }
 
-TEST(Push, SubscribeAndReceiveNotifications) {
-  PushServer server;
-  ASSERT_TRUE(server.start().ok());
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::uint64_t> received;
-
-  PushReceiver receiver;
-  ASSERT_TRUE(receiver
-                  .start("127.0.0.1", server.port(), /*key=*/77,
-                         [&](const wire::Message& message) {
-                           if (const auto* notify =
-                                   std::get_if<wire::Notify>(&message)) {
-                             std::lock_guard lock(mu);
-                             received.push_back(notify->resource_key);
-                             cv.notify_all();
-                           }
-                         })
-                  .ok());
-
-  // Subscription is asynchronous; wait for it to land.
-  for (int i = 0; i < 100 && server.subscriber_count() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(server.subscriber_count(), 1u);
-
-  for (std::uint64_t k = 1; k <= 5; ++k) {
-    ASSERT_TRUE(server.push(77, wire::Notify{ExecutorId{77}, k}).ok());
-  }
-  {
-    std::unique_lock lock(mu);
-    cv.wait_for(lock, std::chrono::seconds(5),
-                [&] { return received.size() == 5; });
-    ASSERT_EQ(received.size(), 5u);
-    EXPECT_EQ(received.back(), 5u);
-  }
-  receiver.stop();
-  server.stop();
-}
-
-TEST(Push, PushToUnknownKeyFails) {
-  PushServer server;
-  ASSERT_TRUE(server.start().ok());
-  auto status = server.push(12345, wire::Notify{});
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, ErrorCode::kNotFound);
-  server.stop();
-}
-
 TEST(Reactor, TimersFireOnceAndPeriodicallyUntilCancelled) {
   Reactor reactor;
   ASSERT_TRUE(reactor.start().ok());
@@ -519,44 +469,6 @@ TEST(Rpc, WatermarkBackpressureDrainsOversizedRepliesInOrder) {
   }
   EXPECT_GE(obs.registry().counter("falkon.net.reactor.read_paused").value(),
             1u);
-  server.stop();
-}
-
-TEST(Push, SlowSubscriberShedsInsteadOfBlocking) {
-  // A subscriber that never reads must not wedge the dispatcher: once its
-  // outbox passes the high watermark, push() sheds notifications (counted
-  // in falkon.net.push.backpressure_drops) and returns immediately.
-  obs::Obs obs;
-  PushServerOptions options;
-  options.high_watermark_bytes = 64 * 1024;
-  options.low_watermark_bytes = 16 * 1024;
-  PushServer server;
-  ASSERT_TRUE(server.start(0, nullptr, &obs, options).ok());
-
-  auto stream = TcpStream::connect("127.0.0.1", server.port());
-  ASSERT_TRUE(stream.ok());
-  ASSERT_TRUE(wire::write_frame(stream.value(),
-                                wire::encode_message(
-                                    wire::Notify{ExecutorId{7}, 0}))
-                  .ok());
-  for (int i = 0; i < 200 && server.subscriber_count() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(server.subscriber_count(), 1u);
-
-  auto& drops =
-      obs.registry().counter("falkon.net.push.backpressure_drops");
-  wire::WaitResultsReply big;
-  TaskResult result;
-  result.stdout_data = std::string(256 * 1024, 'x');
-  big.results.push_back(std::move(result));
-  for (int i = 0; i < 200 && drops.value() == 0; ++i) {
-    // Never blocks and never errors: a full subscriber is shed, not waited
-    // on (the stale-notification sweep re-delivers).
-    ASSERT_TRUE(server.push(7, big).ok());
-  }
-  EXPECT_GE(drops.value(), 1u);
-  EXPECT_EQ(server.subscriber_count(), 1u);
   server.stop();
 }
 
@@ -837,133 +749,237 @@ TEST(Rpc, WatermarkBackpressureIsolatedPerLoop) {
   server.stop();
 }
 
-TEST(Push, NotifyFromForeignThreadLandsOnOwningLoop) {
-  // The product path of set_affinity: push subscribers migrate to
-  // loops[key % n_loops] on subscribe, and PushServer::push() — called
-  // from dispatcher threads that own no loop — must land every frame on
-  // the subscriber's owning loop and out the right socket.
-  Reactor reactor(ReactorOptions{.n_loops = 4});
-  ASSERT_TRUE(reactor.start().ok());
-  PushServerOptions options;
-  options.reactor = &reactor;
-  PushServer server;
-  ASSERT_TRUE(server.start(0, nullptr, nullptr, options).ok());
+// ---- keyed pushes on the RPC connection ---------------------------------
+//
+// A Notify request subscribes: bind_key binds the connection it came on to
+// Notify.executor_id, and push() then writes correlation-id-0 frames there,
+// which the client's reader hands to its push callback.
 
-  constexpr int kSubscribers = 8;
+std::uint64_t notify_key(const wire::Message& request) {
+  const auto* notify = std::get_if<wire::Notify>(&request);
+  return notify != nullptr ? notify->executor_id.value : 0;
+}
+
+wire::Message ack_all(const wire::Message&) { return wire::HeartbeatReply{}; }
+
+RpcServerOptions push_options() {
+  RpcServerOptions options;
+  options.bind_key = notify_key;
+  return options;
+}
+
+/// Resource keys of the Notify frames one client was pushed.
+struct PushLog {
   std::mutex mu;
   std::condition_variable cv;
-  std::vector<std::uint64_t> received;
-  std::vector<PushReceiver> receivers(kSubscribers);
-  for (int key = 0; key < kSubscribers; ++key) {
-    ASSERT_TRUE(receivers[static_cast<std::size_t>(key)]
-                    .start("127.0.0.1", server.port(),
-                           static_cast<std::uint64_t>(key),
-                           [&, key](const wire::Message& message) {
-                             const auto* notify =
-                                 std::get_if<wire::Notify>(&message);
-                             if (notify == nullptr) return;
-                             std::lock_guard<std::mutex> lock(mu);
-                             received.push_back(
-                                 static_cast<std::uint64_t>(key) * 1000 +
-                                 notify->resource_key);
-                             cv.notify_all();
-                           })
-                    .ok());
+  std::vector<std::uint64_t> keys;
+
+  RpcClient::PushHandler handler() {
+    return [this](wire::Message message) {
+      if (const auto* notify = std::get_if<wire::Notify>(&message)) {
+        std::lock_guard lock(mu);
+        keys.push_back(notify->resource_key);
+        cv.notify_all();
+      }
+    };
   }
-  for (int i = 0; i < 1000 && server.subscriber_count() < kSubscribers; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  bool wait_for(std::size_t count) {
+    std::unique_lock lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return keys.size() >= count; });
   }
-  ASSERT_EQ(server.subscriber_count(),
-            static_cast<std::size_t>(kSubscribers));
+};
+
+/// Connect and subscribe `key`, pushes going to `log`.
+RpcClient subscribe(const RpcServer& server, std::uint64_t key, PushLog& log) {
+  auto client = RpcClient::connect("127.0.0.1", server.port(), nullptr,
+                                   nullptr, log.handler());
+  EXPECT_TRUE(client.ok());
+  EXPECT_TRUE(client.value().call(wire::Notify{ExecutorId{key}, 0}).ok());
+  return std::move(client.value());
+}
+
+TEST(RpcPush, BoundConnectionReceivesPushesBetweenReplies) {
+  RpcServer server;
+  ASSERT_TRUE(server.start(ack_all, 0, nullptr, push_options()).ok());
+  PushLog log;
+  RpcClient client = subscribe(server, 77, log);
+  // Bound before the subscription's reply went out.
+  EXPECT_EQ(server.bound_keys(), 1u);
+
+  for (std::uint64_t k = 1; k <= 5; ++k) {
+    ASSERT_TRUE(server.push(77, wire::Notify{ExecutorId{77}, k}).ok());
+  }
+  // Calls keep routing by correlation id with pushes on the same stream.
+  auto reply = client.call(wire::StatusRequest{});
+  ASSERT_TRUE(reply.ok());
+  EXPECT_TRUE(std::holds_alternative<wire::HeartbeatReply>(reply.value()));
+  ASSERT_TRUE(log.wait_for(5));
+  std::lock_guard lock(log.mu);
+  EXPECT_EQ(log.keys, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(server.active_connections(), 1u);
+  client.close();
+  server.stop();
+}
+
+TEST(RpcPush, PushToUnboundKeyIsNotFound) {
+  RpcServer server;
+  ASSERT_TRUE(server.start(ack_all, 0, nullptr, push_options()).ok());
+  auto status = server.push(12345, wire::Notify{});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, ErrorCode::kNotFound);
+  server.stop();
+}
+
+TEST(RpcPush, ErrorReplyUndoesTheBinding) {
+  RpcServer server;
+  ASSERT_TRUE(server
+                  .start(
+                      [](const wire::Message& request) -> wire::Message {
+                        if (notify_key(request) == 13) {
+                          return wire::ErrorReply{ErrorCode::kNotFound, "no"};
+                        }
+                        return wire::HeartbeatReply{};
+                      },
+                      0, nullptr, push_options())
+                  .ok());
+  auto client = RpcClient::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  EXPECT_FALSE(client.value().call(wire::Notify{ExecutorId{13}, 0}).ok());
+  EXPECT_EQ(server.bound_keys(), 0u);
+  EXPECT_TRUE(client.value().call(wire::Notify{ExecutorId{14}, 0}).ok());
+  EXPECT_EQ(server.bound_keys(), 1u);
+  server.stop();
+}
+
+TEST(RpcPush, SlowSubscriberShedsInsteadOfBlocking) {
+  // A subscriber that never reads must not wedge the server: once its
+  // outbox passes the high watermark, push() sheds frames (counted in
+  // falkon.net.push.backpressure_drops) and returns immediately.
+  obs::Obs obs;
+  RpcServerOptions options = push_options();
+  options.obs = &obs;
+  options.high_watermark_bytes = 64 * 1024;
+  options.low_watermark_bytes = 16 * 1024;
+  RpcServer server;
+  ASSERT_TRUE(server.start(ack_all, 0, nullptr, options).ok());
+
+  // A raw socket subscribes, reads its reply, then stops reading.
+  auto stream = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE(wire::write_frame(stream.value(), 1,
+                                wire::encode_message(
+                                    wire::Notify{ExecutorId{7}, 0}))
+                  .ok());
+  wire::Frame reply;
+  ASSERT_TRUE(wire::read_frame(stream.value(), reply).ok());
+  EXPECT_EQ(reply.corr, 1u);
+  ASSERT_EQ(server.bound_keys(), 1u);
+
+  auto& drops =
+      obs.registry().counter("falkon.net.push.backpressure_drops");
+  wire::WaitResultsReply big;
+  TaskResult result;
+  result.stdout_data = std::string(256 * 1024, 'x');
+  big.results.push_back(std::move(result));
+  for (int i = 0; i < 200 && drops.value() == 0; ++i) {
+    // Never blocks and never errors: a full subscriber is shed, not waited
+    // on (the protocol above recovers what was shed).
+    ASSERT_TRUE(server.push(7, big).ok());
+  }
+  EXPECT_GE(drops.value(), 1u);
+  EXPECT_EQ(server.bound_keys(), 1u);
+  server.stop();
+}
+
+TEST(RpcPush, PushFromForeignThreadLandsOnOwningLoop) {
+  // Subscribing pins each connection to loops[key % n_loops] (affinity_key),
+  // and push() — called from threads that own no loop — must land every
+  // frame on the owning loop and out the right socket.
+  Reactor reactor(ReactorOptions{.n_loops = 4});
+  ASSERT_TRUE(reactor.start().ok());
+  RpcServerOptions options = push_options();
+  options.reactor = &reactor;
+  options.affinity_key = notify_key;
+  RpcServer server;
+  ASSERT_TRUE(server.start(ack_all, 0, nullptr, options).ok());
+
+  constexpr std::uint64_t kSubscribers = 8;
+  std::vector<PushLog> logs(kSubscribers);
+  std::vector<RpcClient> clients;
+  for (std::uint64_t key = 1; key <= kSubscribers; ++key) {
+    clients.push_back(subscribe(server, key, logs[key - 1]));
+  }
+  ASSERT_EQ(server.bound_keys(), kSubscribers);
   reactor.barrier();
   reactor.barrier();  // second pass covers migrate -> target registration
-  // Subscription pinned each connection to key % 4 — two per loop.
+  // Keys 1..8 map two connections to each of the four loops.
   const auto per_loop = reactor.connections_per_loop();
   for (std::size_t loop = 0; loop < per_loop.size(); ++loop) {
     EXPECT_EQ(per_loop[loop], 2u) << "loop " << loop;
   }
 
-  // Push to every key from this (non-loop) thread.
-  for (int key = 0; key < kSubscribers; ++key) {
-    ASSERT_TRUE(
-        server
-            .push(static_cast<std::uint64_t>(key),
-                  wire::Notify{ExecutorId{static_cast<std::uint64_t>(key)},
-                               static_cast<std::uint64_t>(key) + 7})
-            .ok());
+  for (std::uint64_t key = 1; key <= kSubscribers; ++key) {
+    ASSERT_TRUE(server.push(key, wire::Notify{ExecutorId{key}, key + 7}).ok());
   }
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5), [&] {
-      return received.size() >= static_cast<std::size_t>(kSubscribers);
-    }));
-    std::vector<std::uint64_t> sorted = received;
-    std::sort(sorted.begin(), sorted.end());
-    for (int key = 0; key < kSubscribers; ++key) {
-      EXPECT_EQ(sorted[static_cast<std::size_t>(key)],
-                static_cast<std::uint64_t>(key) * 1000 +
-                    static_cast<std::uint64_t>(key) + 7);
-    }
+  for (std::uint64_t key = 1; key <= kSubscribers; ++key) {
+    PushLog& log = logs[key - 1];
+    ASSERT_TRUE(log.wait_for(1)) << "key " << key;
+    std::lock_guard lock(log.mu);
+    EXPECT_EQ(log.keys, (std::vector<std::uint64_t>{key + 7})) << "key " << key;
   }
-  for (auto& receiver : receivers) receiver.stop();
+  for (auto& client : clients) client.close();
   server.stop();
   reactor.stop();
 }
 
-TEST(Push, DropSubscriberSeversChannel) {
-  PushServer server;
-  ASSERT_TRUE(server.start().ok());
-  PushReceiver receiver;
-  ASSERT_TRUE(receiver.start("127.0.0.1", server.port(), 9,
-                             [](const wire::Message&) {}).ok());
-  for (int i = 0; i < 100 && server.subscriber_count() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(server.subscriber_count(), 1u);
-  server.drop_subscriber(9);
-  EXPECT_EQ(server.subscriber_count(), 0u);
-  EXPECT_FALSE(server.push(9, wire::Notify{}).ok());
-  receiver.stop();
+TEST(RpcPush, UnbindStopsPushesAndKeepsTheConnection) {
+  RpcServer server;
+  ASSERT_TRUE(server.start(ack_all, 0, nullptr, push_options()).ok());
+  PushLog log;
+  RpcClient client = subscribe(server, 9, log);
+  ASSERT_EQ(server.bound_keys(), 1u);
+  server.unbind(9);
+  EXPECT_EQ(server.bound_keys(), 0u);
+  auto status = server.push(9, wire::Notify{});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, ErrorCode::kNotFound);
+  // Only the binding ended: the connection still serves calls.
+  EXPECT_TRUE(client.call(wire::StatusRequest{}).ok());
+  EXPECT_EQ(server.active_connections(), 1u);
   server.stop();
 }
 
-TEST(Push, ReceiverRestartedAfterStopGetsFrames) {
-  // A failover client restarts its receiver on every resubscribe; the
-  // restarted read loop must deliver frames, not exit on the old stop.
-  PushServer server;
-  ASSERT_TRUE(server.start().ok());
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::uint64_t> received;
-  const auto on_frame = [&](const wire::Message& message) {
-    if (const auto* notify = std::get_if<wire::Notify>(&message)) {
-      std::lock_guard lock(mu);
-      received.push_back(notify->resource_key);
-      cv.notify_all();
-    }
-  };
-  PushReceiver receiver;
-  ASSERT_TRUE(receiver.start("127.0.0.1", server.port(), 5, on_frame).ok());
-  receiver.stop();
-  for (int i = 0; i < 100 && server.subscriber_count() != 0; ++i) {
+TEST(RpcPush, ResubscribeAfterStopGetsFrames) {
+  // A closed connection takes its bindings with it; the same key
+  // subscribed again on a new connection (a reconnecting executor or
+  // failover client) gets the pushes.
+  RpcServer server;
+  ASSERT_TRUE(server.start(ack_all, 0, nullptr, push_options()).ok());
+  PushLog first;
+  {
+    RpcClient client = subscribe(server, 5, first);
+    client.close();
+  }
+  for (int i = 0; i < 200 && server.bound_keys() != 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_TRUE(receiver.start("127.0.0.1", server.port(), 5, on_frame).ok());
-  for (int i = 0; i < 100 && server.subscriber_count() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(server.subscriber_count(), 1u);
+  ASSERT_EQ(server.bound_keys(), 0u);
+  EXPECT_FALSE(server.push(5, wire::Notify{ExecutorId{5}, 9}).ok());
 
+  PushLog second;
+  RpcClient client = subscribe(server, 5, second);
   for (std::uint64_t k = 1; k <= 3; ++k) {
     ASSERT_TRUE(server.push(5, wire::Notify{ExecutorId{5}, k}).ok());
   }
+  ASSERT_TRUE(second.wait_for(3));
   {
-    std::unique_lock lock(mu);
-    cv.wait_for(lock, std::chrono::seconds(5),
-                [&] { return received.size() == 3; });
-    EXPECT_EQ(received, (std::vector<std::uint64_t>{1, 2, 3}));
+    std::lock_guard lock(second.mu);
+    EXPECT_EQ(second.keys, (std::vector<std::uint64_t>{1, 2, 3}));
   }
-  receiver.stop();
+  std::lock_guard lock(first.mu);
+  EXPECT_TRUE(first.keys.empty());
+  client.close();
   server.stop();
 }
 

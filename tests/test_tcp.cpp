@@ -131,7 +131,7 @@ TEST_F(TcpStackTest, ErrorsPropagateToRemoteClient) {
 
 TEST_F(TcpStackTest, PollingModeExecutorNeedsNoPushChannel) {
   // Firewall-bypass mode (paper section 6): executor makes only outbound
-  // RPC calls — it never subscribes on the notification port.
+  // RPC calls — it never subscribes for pushed notifications.
   ExecutorOptions options;
   options.poll_interval_s = 0.01;
   add_executor(options);
@@ -350,7 +350,7 @@ TEST_F(TcpStackTest, StreamingClientReceivesResultsExactlyOnce) {
   ASSERT_TRUE(client.ok());
   auto instance = client.value()->create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok());
-  // The third connect argument subscribed the instance on the push channel.
+  // The nonzero third connect argument subscribed the instance for pushes.
   EXPECT_TRUE(client.value()->streaming(instance.value()));
 
   ASSERT_TRUE(client.value()->submit(instance.value(), sleep_tasks(50)).ok());
@@ -378,9 +378,9 @@ std::set<std::string> thread_ids() {
   return ids;
 }
 
-// A streaming instance's results are read on a thread the client keeps:
-// instances created and destroyed one after another reuse it, so each
-// session starts no thread of its own.
+// A streaming instance's results are read by the client's RPC reader
+// thread: instances created and destroyed one after another start no
+// thread of their own.
 TEST_F(TcpStackTest, StreamingInstancesReuseOneReaderThread) {
   add_executor();
   auto client = TcpDispatcherClient::connect("127.0.0.1", server_->rpc_port(),
@@ -425,7 +425,7 @@ TEST_F(TcpStackTest, StreamingSessionRunCompletes) {
 }
 
 TEST(TcpStreamingFault, DroppedPushFramesFallBackToPolling) {
-  // Every frame leaving the push server silently vanishes (kDrop returns
+  // Every pushed frame silently vanishes (kDrop returns
   // ok to the dispatcher, so its cursor advances as if streaming worked).
   // Results must still arrive exactly once through the wait_results
   // firewall fallback: un-acked results never leave the mailbox.
@@ -435,8 +435,8 @@ TEST(TcpStreamingFault, DroppedPushFramesFallBackToPolling) {
   fault::FaultInjector fault(plan);
   Dispatcher dispatcher(clock, DispatcherConfig{});
   TcpDispatcherServer server(dispatcher);
-  ASSERT_TRUE(server.start(0, 0, &fault).ok());
-  // Polling-mode executor: the lossy push channel must only starve the
+  ASSERT_TRUE(server.start(0, &fault).ok());
+  // Polling-mode executor: the lossy pushes must only starve the
   // client's stream, not the executor's work notifications.
   ExecutorOptions options;
   options.poll_interval_s = 0.01;
@@ -624,6 +624,215 @@ TEST(TcpLoopHandlers, JournaledSubmitRunsOnThePool) {
   EXPECT_FALSE(submit_done.load()) << "the submit ended before the race ran";
 
   submitting.join();
+  server.stop();
+  dispatcher.shutdown();
+}
+
+
+// ---- one connection per peer -------------------------------------------
+//
+// Notify and ResultStream frames are pushed on the peer's RPC connection;
+// a peer subscribes with a request on that connection, and the binding
+// ends with the connection, the executor or the instance.
+
+/// Poll `done` every 5 ms for up to `seconds`.
+template <class Done>
+bool eventually(Done done, double seconds = 10.0) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+/// Submit `count` tasks on a polling client and wait for all results.
+std::size_t run_polled(std::uint16_t port, int count) {
+  auto client = TcpDispatcherClient::connect("127.0.0.1", port);
+  EXPECT_TRUE(client.ok());
+  if (!client.ok()) return 0;
+  auto session = FalkonSession::open(*client.value(), ClientId{1});
+  EXPECT_TRUE(session.ok());
+  if (!session.ok()) return 0;
+  auto results = session.value()->run(sleep_tasks(count), 20.0);
+  EXPECT_TRUE(results.ok()) << results.error().str();
+  return results.ok() ? results.value().size() : 0;
+}
+
+TEST(TcpPushChannel, ExecutorResubscribesWhenItsLinkReconnects) {
+  // The executor's third request (its first get-work, after register and
+  // subscribe) severs the connection. The link must dial again and
+  // subscribe on the new connection: with no idle probe and no poll, a
+  // Notify pushed there is the only thing that can wake it for new work.
+  RealClock clock;
+  Dispatcher dispatcher(clock, DispatcherConfig{});
+  TcpDispatcherServer server(dispatcher);
+  ASSERT_TRUE(server.start().ok());
+  fault::FaultPlan plan;
+  plan.at(fault::Site::kRpcRequest, fault::Action::kDrop, 3);
+  fault::FaultInjector fault(plan);
+  ExecutorOptions options;
+  options.takeover_probe_s = 0;
+  options.link_retries = 5;
+  options.backoff.base_s = 0.01;
+  options.fault = &fault;
+  TcpExecutorHarness harness(clock, "127.0.0.1", server.rpc_port(),
+                             server.push_port(),
+                             std::make_unique<NoopEngine>(), options);
+  ASSERT_TRUE(harness.start().ok());
+  ASSERT_TRUE(eventually([&] {
+    return fault.stats(fault::Site::kRpcRequest).injected == 1 &&
+           harness.runtime().stats().link_retries >= 1;
+  }));
+  // The old connection is gone and the executor is bound on the new one.
+  ASSERT_TRUE(eventually([&] {
+    return server.rpc_server().active_connections() == 1 &&
+           server.rpc_server().bound_keys() == 1;
+  }));
+
+  EXPECT_EQ(run_polled(server.rpc_port(), 5), 5u);
+  EXPECT_GE(harness.runtime().stats().notifications, 1u);
+  EXPECT_EQ(harness.runtime().stats().reregistrations, 0u);
+
+  harness.stop();
+  server.stop();
+  dispatcher.shutdown();
+}
+
+TEST(TcpPushChannel, PollingExecutorIsNeverPushedTo) {
+  // Firewall mode subscribes to nothing: neither work notifications nor a
+  // release request reach a polling executor, so it pulls its work and
+  // ignores the release (the pull series of bench_ablation_pushpull).
+  RealClock clock;
+  Dispatcher dispatcher(clock, DispatcherConfig{});
+  TcpDispatcherServer server(dispatcher);
+  ASSERT_TRUE(server.start().ok());
+  ExecutorOptions options;
+  options.poll_interval_s = 0.01;
+  TcpExecutorHarness harness(clock, "127.0.0.1", server.rpc_port(),
+                             server.push_port(),
+                             std::make_unique<NoopEngine>(), options);
+  ASSERT_TRUE(harness.start().ok());
+
+  EXPECT_EQ(run_polled(server.rpc_port(), 20), 20u);
+  EXPECT_EQ(dispatcher.request_release(1).size(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(server.rpc_server().bound_keys(), 0u);
+  EXPECT_EQ(harness.runtime().stats().notifications, 0u);
+  EXPECT_TRUE(harness.runtime().running());
+
+  harness.stop();
+  server.stop();
+  dispatcher.shutdown();
+}
+
+TEST(TcpPushChannel, BindingsEndWithInstanceAndExecutor) {
+  // The key-binding table returns to its starting size after streaming
+  // sessions come and go on one client, and after the failure detector
+  // evicts a subscribed executor — whose connection stays open.
+  RealClock clock;
+  DispatcherConfig config;
+  config.heartbeat_timeout_s = 0.3;
+  config.sweep_interval_s = 0.05;
+  Dispatcher dispatcher(clock, config);
+  TcpDispatcherServer server(dispatcher);
+  ASSERT_TRUE(server.start().ok());
+  ExecutorOptions options;
+  options.heartbeat_interval_s = 0.05;
+  TcpExecutorHarness harness(clock, "127.0.0.1", server.rpc_port(),
+                             server.push_port(),
+                             std::make_unique<NoopEngine>(), options);
+  ASSERT_TRUE(harness.start().ok());
+  const std::size_t start = server.rpc_server().bound_keys();
+  ASSERT_EQ(start, 1u);  // the executor's subscription
+
+  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port(),
+                                             server.push_port());
+  ASSERT_TRUE(client.ok());
+  for (int session = 0; session < 20; ++session) {
+    auto instance = client.value()->create_instance(ClientId{1});
+    ASSERT_TRUE(instance.ok());
+    ASSERT_TRUE(client.value()->streaming(instance.value()));
+    EXPECT_EQ(server.rpc_server().bound_keys(), start + 1);
+    ASSERT_TRUE(client.value()->submit(instance.value(), sleep_tasks(3)).ok());
+    std::size_t received = 0;
+    ASSERT_TRUE(eventually([&] {
+      auto batch = client.value()->wait_results(instance.value(), 64, 0.2);
+      if (batch.ok()) received += batch.value().size();
+      return received >= 3;
+    }));
+    ASSERT_TRUE(client.value()->destroy_instance(instance.value()).ok());
+  }
+  EXPECT_EQ(server.rpc_server().bound_keys(), start);
+
+  // A raw peer registers and subscribes, then never beats again.
+  auto raw = net::RpcClient::connect("127.0.0.1", server.rpc_port());
+  ASSERT_TRUE(raw.ok());
+  wire::RegisterRequest reg;
+  reg.host = "silent";
+  const ExecutorId silent =
+      call_expect<wire::RegisterReply>(raw.value(), reg).executor_id;
+  (void)call_expect<wire::HeartbeatReply>(raw.value(),
+                                          wire::Notify{silent, 0});
+  EXPECT_EQ(server.rpc_server().bound_keys(), start + 1);
+  const std::size_t connections = server.rpc_server().active_connections();
+  ASSERT_TRUE(eventually(
+      [&] { return dispatcher.status().registered_executors == 1; }));
+  EXPECT_EQ(server.rpc_server().bound_keys(), start);
+  // Eviction ended the binding, not the connection.
+  EXPECT_EQ(server.rpc_server().active_connections(), connections);
+  EXPECT_TRUE(raw.value().call(wire::StatusRequest{}).ok());
+
+  harness.stop();
+  server.stop();
+  dispatcher.shutdown();
+}
+
+TEST(TcpPushChannel, EachPeerHoldsOneConnection) {
+  RealClock clock;
+  Dispatcher dispatcher(clock, DispatcherConfig{});
+  TcpDispatcherServer server(dispatcher);
+  ASSERT_TRUE(server.start().ok());
+  std::vector<std::unique_ptr<TcpExecutorHarness>> fleet;
+  for (int e = 0; e < 4; ++e) {
+    ExecutorOptions options;
+    if (e == 3) options.poll_interval_s = 0.01;  // one in firewall mode
+    fleet.push_back(std::make_unique<TcpExecutorHarness>(
+        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+        std::make_unique<NoopEngine>(), options));
+    ASSERT_TRUE(fleet.back()->start().ok());
+  }
+  std::vector<std::unique_ptr<TcpDispatcherClient>> clients;
+  std::vector<InstanceId> instances;
+  for (int c = 0; c < 2; ++c) {
+    auto client = TcpDispatcherClient::connect(
+        "127.0.0.1", server.rpc_port(), server.push_port());
+    ASSERT_TRUE(client.ok());
+    auto instance = client.value()->create_instance(ClientId{1});
+    ASSERT_TRUE(instance.ok());
+    ASSERT_TRUE(client.value()->streaming(instance.value()));
+    ASSERT_TRUE(
+        client.value()->submit(instance.value(), sleep_tasks(50)).ok());
+    clients.push_back(std::move(client.value()));
+    instances.push_back(instance.value());
+  }
+  for (int c = 0; c < 2; ++c) {
+    std::size_t received = 0;
+    ASSERT_TRUE(eventually([&] {
+      auto batch = clients[c]->wait_results(instances[c], 64, 0.2);
+      if (batch.ok()) received += batch.value().size();
+      return received >= 50;
+    }));
+  }
+  // Four executors and two streaming clients: six connections, with the
+  // three push-mode executors and two instances bound on them.
+  EXPECT_EQ(server.rpc_server().active_connections(), 6u);
+  EXPECT_EQ(server.reactor().open_connections(), 6u);
+  EXPECT_EQ(server.rpc_server().bound_keys(), 5u);
+
+  clients.clear();
+  fleet.clear();
   server.stop();
   dispatcher.shutdown();
 }

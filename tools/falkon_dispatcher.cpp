@@ -1,11 +1,11 @@
 // falkon-dispatcher: standalone dispatcher daemon.
 //
-//   $ falkon-dispatcher [--rpc-port N] [--push-port N] [--config file]
+//   $ falkon-dispatcher [--rpc-port N] [--config file]
 //                       [--piggyback 0|1] [--max-retries N] [--verbose]
 //
-// Serves the Falkon wire protocol on two ports (WS-style RPC + the TCP
-// notification channel) until SIGINT/SIGTERM. Executors join with
-// falkon-executor, clients submit with falkon-submit.
+// Serves the Falkon wire protocol on one port (WS-style RPC, with the TCP
+// notifications pushed on each peer's RPC connection) until SIGINT/SIGTERM.
+// Executors join with falkon-executor, clients submit with falkon-submit.
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -28,14 +28,11 @@ int main(int argc, char** argv) {
 
   Config config;
   std::uint16_t rpc_port = 0;
-  std::uint16_t push_port = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
     if (arg == "--rpc-port") {
       rpc_port = static_cast<std::uint16_t>(std::atoi(next()));
-    } else if (arg == "--push-port") {
-      push_port = static_cast<std::uint16_t>(std::atoi(next()));
     } else if (arg == "--config") {
       auto loaded = Config::load_file(next());
       if (!loaded.ok()) {
@@ -51,7 +48,7 @@ int main(int argc, char** argv) {
       Logger::instance().set_level(LogLevel::kDebug);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--rpc-port N] [--push-port N] [--config file]"
+                   "usage: %s [--rpc-port N] [--config file]"
                    " [--piggyback 0|1] [--max-retries N] [--verbose]\n",
                    argv[0]);
       return 2;
@@ -74,12 +71,12 @@ int main(int argc, char** argv) {
   RealClock clock;
   core::Dispatcher dispatcher(clock, dispatcher_config);
   core::TcpDispatcherServer server(dispatcher);
-  if (auto status = server.start(rpc_port, push_port); !status.ok()) {
+  if (auto status = server.start(rpc_port); !status.ok()) {
     std::fprintf(stderr, "start failed: %s\n", status.error().str().c_str());
     return 1;
   }
-  std::printf("falkon-dispatcher up: rpc=%u notify=%u (piggyback=%s)\n",
-              server.rpc_port(), server.push_port(),
+  std::printf("falkon-dispatcher up: rpc=%u (piggyback=%s)\n",
+              server.rpc_port(),
               dispatcher_config.piggyback ? "on" : "off");
   std::fflush(stdout);
 

@@ -1,8 +1,9 @@
 // falkon-executor: standalone executor daemon.
 //
-//   $ falkon-executor --host H --rpc-port N --push-port N
+//   $ falkon-executor --host H --rpc-port N
 //                     [--count K] [--engine shell|noop|sleep]
 //                     [--idle-timeout S] [--bundle N] [--prefetch]
+//                     [--poll INTERVAL_S]
 //
 // Starts K executors that register with a remote dispatcher, pull work,
 // run it (by default as real processes), and release themselves after the
@@ -28,7 +29,6 @@ int main(int argc, char** argv) {
 
   std::string host = "127.0.0.1";
   std::uint16_t rpc_port = 0;
-  std::uint16_t push_port = 0;
   int count = 1;
   std::string engine_name = "shell";
   core::ExecutorOptions options;
@@ -39,8 +39,6 @@ int main(int argc, char** argv) {
       host = next();
     } else if (arg == "--rpc-port") {
       rpc_port = static_cast<std::uint16_t>(std::atoi(next()));
-    } else if (arg == "--push-port") {
-      push_port = static_cast<std::uint16_t>(std::atoi(next()));
     } else if (arg == "--count") {
       count = std::atoi(next());
     } else if (arg == "--engine") {
@@ -53,21 +51,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--prefetch") {
       options.prefetch = true;
     } else if (arg == "--poll") {
-      // Firewall-bypass mode: no notification channel, outbound RPC only.
+      // Firewall-bypass mode: no pushed notifications, the executor polls.
       options.poll_interval_s = std::atof(next());
     } else if (arg == "--verbose") {
       Logger::instance().set_level(LogLevel::kDebug);
     } else {
       std::fprintf(stderr,
-                   "usage: %s --host H --rpc-port N --push-port N [--count K]"
+                   "usage: %s --host H --rpc-port N [--count K]"
                    " [--engine shell|noop|sleep] [--idle-timeout S]"
                    " [--bundle N] [--prefetch] [--poll INTERVAL_S] [--verbose]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (rpc_port == 0 || push_port == 0) {
-    std::fprintf(stderr, "--rpc-port and --push-port are required\n");
+  if (rpc_port == 0) {
+    std::fprintf(stderr, "--rpc-port is required\n");
     return 2;
   }
 
@@ -81,7 +79,7 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<core::TcpExecutorHarness>> pool;
   for (int e = 0; e < count; ++e) {
     auto harness = std::make_unique<core::TcpExecutorHarness>(
-        clock, host, rpc_port, push_port, make_engine(), options);
+        clock, host, rpc_port, /*push_port=*/0, make_engine(), options);
     if (auto status = harness->start(); !status.ok()) {
       std::fprintf(stderr, "executor %d failed to start: %s\n", e,
                    status.error().str().c_str());
