@@ -122,8 +122,7 @@ DataOutcome run_data_tcp(bool stage_ahead, int executors, int objects,
     cell.harness = std::move(harness);
   }
 
-  auto client = core::TcpDispatcherClient::connect(
-      "127.0.0.1", server.rpc_port(), server.push_port());
+  auto client = core::TcpDispatcherClient::connect("127.0.0.1", server.rpc_port());
   if (!client.ok()) return {};
   auto session = core::FalkonSession::open(*client.value(), ClientId{1});
   if (!session.ok()) return {};

@@ -43,12 +43,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%d executors registered over TCP\n", executors);
 
-  // A nonzero third argument opts the client into push-mode result
-  // streaming: drained mailbox batches arrive as ResultStream frames pushed
-  // on the client's RPC connection instead of one WaitResults long-poll per
-  // batch (docs/PROTOCOL.md). Drop it to fall back to pure polling.
-  auto client = core::TcpDispatcherClient::connect(
-      "127.0.0.1", server.rpc_port(), server.push_port());
+  // Drained mailbox batches arrive as ResultStream frames pushed on the
+  // client's RPC connection (docs/PROTOCOL.md).
+  auto client =
+      core::TcpDispatcherClient::connect("127.0.0.1", server.rpc_port());
   if (!client.ok()) return 1;
   auto session = core::FalkonSession::open(*client.value(), ClientId{1});
   if (!session.ok()) return 1;

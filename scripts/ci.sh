@@ -78,6 +78,15 @@ echo "== HA suite with 2 reactor loops and reuseport accepts under ASan+UBSan ==
 # multi-loop reactor in SO_REUSEPORT accept mode too.
 FALKON_REACTOR_LOOPS=2 FALKON_REUSEPORT=1 build-ci-asan/tests/test_ha
 
+echo "== Chaos soak and HA suite with 2 reactor loops under ASan+UBSan =="
+# Every TCP client streams its results, so the soak's push-frame faults
+# (drop, delay, corrupt) hit the client's result path; run it, and the HA
+# takeovers the client re-subscribes through, on the multi-loop reactor.
+FALKON_REACTOR_LOOPS=2 \
+  build-ci-asan/tests/test_chaos --gtest_filter='ChaosTcp.*:ChaosHa.*'
+FALKON_REACTOR_LOOPS=2 \
+  ctest --test-dir build-ci-asan --output-on-failure -L ha
+
 echo "== Data-diffusion suite under ASan+UBSan =="
 # ctest -L data (see docs/DATA.md): digest advertising over heartbeats,
 # good-cache-compute routing, peer-to-peer fetch and the LRU evict path —
@@ -144,13 +153,15 @@ if [ "${1:-}" = "tsan" ]; then
   FALKON_REACTOR_LOOPS=2 \
     build-ci-tsan/tests/test_net --gtest_filter='Reactor.*:WriteThrough.*:Rpc.AffinityKeyPinsConnectionsToKeyedLoop:Rpc.WatermarkBackpressureIsolatedPerLoop:Rpc.AcceptBackoffRecoversWithShardedLoops:RpcPush.PushFromForeignThreadLandsOnOwningLoop:Rpc.RunOnLoopServesAdmittedRequestsPastABusyPool:RpcPush.ResubscribeAfterStopGetsFrames'
   echo "== Loop-thread handlers and inline notifies under TSan =="
-  # Small requests are answered on the loop that read them, and executor
-  # notifies go out on the thread that made work available, so one loop
-  # thread writes replies, pushes and notifies to connections another loop
-  # owns. Run the tests for that path with two loops in both accept modes.
+  # Small requests — result fetches among them — are answered on the loop
+  # that read them, and executor notifies go out on the thread that made
+  # work available, so one loop thread writes replies, pushes and notifies
+  # to connections another loop owns; a client's reader thread resets its
+  # stream cursors while the waiting thread drains them. Run the tests for
+  # that path with two loops in both accept modes.
   for reuseport in 0 1; do
     FALKON_REACTOR_LOOPS=2 FALKON_REUSEPORT=$reuseport \
-      build-ci-tsan/tests/test_tcp --gtest_filter='TcpLoopHandlers.*:TcpStackTest.*:TcpPushChannel.ExecutorResubscribesWhenItsLinkReconnects:TcpPushChannel.BindingsEndWithInstanceAndExecutor'
+      build-ci-tsan/tests/test_tcp --gtest_filter='TcpLoopHandlers.*:TcpStackTest.*:ResultStreams.*:TcpPushChannel.ExecutorResubscribesWhenItsLinkReconnects:TcpPushChannel.BindingsEndWithInstanceAndExecutor'
     FALKON_REACTOR_LOOPS=2 FALKON_REUSEPORT=$reuseport \
       build-ci-tsan/tests/test_ha --gtest_filter='HaClient.StreamedInstanceGetsResultsOnTheStream'
   done

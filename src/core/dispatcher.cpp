@@ -36,6 +36,23 @@ wire::StatusReply DispatcherStatus::to_wire() const {
   return reply;
 }
 
+DispatcherStatus DispatcherStatus::from_wire(const wire::StatusReply& reply) {
+  DispatcherStatus status;
+  status.submitted = reply.submitted_tasks;
+  status.queued = reply.queued_tasks;
+  status.dispatched = reply.dispatched_tasks;
+  status.completed = reply.completed_tasks;
+  status.failed = reply.failed_tasks;
+  status.retried = reply.retried_tasks;
+  status.suspicions = reply.suspicions;
+  status.false_suspicions = reply.false_suspicions;
+  status.quarantined = reply.quarantined_tasks;
+  status.registered_executors = reply.registered_executors;
+  status.busy_executors = reply.busy_executors;
+  status.idle_executors = reply.idle_executors;
+  return status;
+}
+
 Dispatcher::Dispatcher(Clock& clock, DispatcherConfig config,
                        std::unique_ptr<DispatchPolicy> policy)
     : clock_(clock),
@@ -1149,7 +1166,7 @@ void Dispatcher::deliver_batch(InstanceId instance_id,
       }
     }
   }
-  // Polling clients block in wait_results on this condition variable.
+  // In-process clients block in wait_results on this condition variable.
   instance->cv.notify_all();
   if (inline_drain) stream_drain(instance_id, instance, /*flush=*/false);
 }
@@ -1225,8 +1242,8 @@ void Dispatcher::stream_drain(InstanceId instance_id,
     if (!delivered) {
       // No push transport for this instance (client gone, key never
       // subscribed): roll the cursor advance back and leave streaming mode
-      // — the results stay in the mailbox and wait_results polling takes
-      // over until the client resubscribes. Skip the rollback if the
+      // — the results stay in the mailbox, where a wait_results fetch
+      // finds them until the client resubscribes. Skip the rollback if the
       // regime changed while the frame was in flight: the reset already
       // re-accounted for every mailbox result under fresh cursors.
       if (instance->stream_epoch == epoch) {

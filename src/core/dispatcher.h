@@ -149,6 +149,7 @@ struct DispatcherStatus {
   std::uint32_t idle_executors{0};
 
   [[nodiscard]] wire::StatusReply to_wire() const;
+  [[nodiscard]] static DispatcherStatus from_wire(const wire::StatusReply& reply);
 };
 
 /// How the dispatcher pushes notifications to one executor. In-process
@@ -173,8 +174,7 @@ class ExecutorSink {
 
 /// How the dispatcher pushes results to streaming clients (message {8} of
 /// paper Figure 2 carried as a ResultStream — docs/PROTOCOL.md). Optional:
-/// clients may instead block in wait_results (the paper's firewall-bypass
-/// mode).
+/// in-process clients block in wait_results instead.
 class ClientSink {
  public:
   virtual ~ClientSink() = default;
@@ -182,7 +182,7 @@ class ClientSink {
   /// Push a drained mailbox batch to a streaming subscriber. Returns false
   /// when the batch could not be handed to the transport (no bound connection,
   /// unknown subscription key): the dispatcher rolls its streaming cursor
-  /// back and the results stay in the mailbox for wait_results polling. A
+  /// back and the results stay in the mailbox for wait_results. A
   /// transport that accepted the frame but lost it downstream (backpressure
   /// shed, severed connection) may still return true — loss is recovered
   /// by the ack protocol, never by this return value.

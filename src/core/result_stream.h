@@ -1,4 +1,4 @@
-// Client half of push-mode result streaming (message {8} of paper Figure 2
+// Client half of result delivery over TCP (message {8} of paper Figure 2
 // carried as ResultStream frames — docs/PROTOCOL.md).
 #pragma once
 
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/result.h"
 #include "common/task.h"
 #include "obs/obs.h"
 #include "wire/message.h"
@@ -22,49 +23,45 @@ namespace falkon::core {
 /// The streamed instances of one client. The dispatcher pushes each drained
 /// mailbox batch as a ResultStream frame on the connection that subscribed
 /// the instance; on_frame — the connection's push callback — buffers it by
-/// ResultStream.instance_id and tracks the contiguous seq cursor. drain()
+/// ResultStream.instance_id and tracks the contiguous seq cursor. wait()
 /// hands buffered results out and settles the cursor protocol: one
 /// cumulative SubscribeResults{ack} per kAckBatchResults results, and after
 /// a seq gap a SubscribeResults{0} that makes the dispatcher re-stream
-/// everything un-acked. Each instance's task-id filter makes what drain()
-/// and filter() return exactly-once across pushes, re-streams and poll
-/// fallbacks.
+/// everything un-acked. Each instance's task-id filter makes what wait()
+/// returns exactly-once across pushes, re-streams and fetches.
 class ResultStreams {
  public:
-  /// Sends one SubscribeResults on the client's connection; true when the
-  /// dispatcher accepted it.
-  using Subscribe = std::function<bool(const wire::SubscribeResults&)>;
+  /// One call on the client's connection (SubscribeResults or a
+  /// WaitResultsRequest fetch), with net::RpcClient::call's contract: an
+  /// ErrorReply is an error, and `on_reply` runs on the reader thread when
+  /// the reply is read, before any frame that follows it.
+  using Call = std::function<Result<wire::Message>(
+      const wire::Message& request, const std::function<void()>& on_reply)>;
 
   /// `duplicates` (optional) counts results the filters drop.
-  explicit ResultStreams(Subscribe subscribe,
-                         obs::Counter* duplicates = nullptr)
-      : subscribe_(std::move(subscribe)), duplicates_(duplicates) {}
+  explicit ResultStreams(Call call, obs::Counter* duplicates = nullptr)
+      : call_(std::move(call)), duplicates_(duplicates) {}
 
   /// Start streaming `instance`: SubscribeResults{0} binds it to the
-  /// connection and arms the dispatcher's drain. False leaves the instance
-  /// unstreamed; the caller polls for its results.
-  bool open(InstanceId instance);
+  /// connection and arms the dispatcher's drain. If that fails the instance
+  /// stays, marked for re-arm by the next wait.
+  void open(InstanceId instance) { (void)start(instance); }
   /// Stop streaming `instance`; frames still in flight for it are dropped.
   void close(InstanceId instance);
-  [[nodiscard]] bool contains(InstanceId instance) const;
 
   /// Push callback. Runs on the connection's reader thread and takes only
   /// this object's locks, never one held across a call.
   void on_frame(wire::Message message);
 
-  /// Wait up to `timeout_s` for pushed results (or a gap), take up to
-  /// `max_results` new ones, then send the ack or re-arm the cursors call
-  /// for. Empty when nothing new arrived: the caller falls back to a poll.
-  std::vector<TaskResult> drain(InstanceId instance, std::uint32_t max_results,
-                                double timeout_s);
-  /// Drop results `instance` already handed out (a poll fallback returns
-  /// the streamed-but-unacked prefix too).
-  std::vector<TaskResult> filter(InstanceId instance,
-                                 std::vector<TaskResult> results);
-  /// SubscribeResults{0}: the dispatcher resets its cursors, binds the
-  /// instance to the connection the call went out on, and re-streams what
-  /// is un-acked; on success the local cursors reset too.
-  bool rearm(InstanceId instance);
+  /// Wait up to `timeout_s` for pushed results and take up to
+  /// `max_results` new ones, sending the ack or re-arm the cursors call
+  /// for. When none arrived, one non-blocking fetch picks up what a lost
+  /// frame or a missing binding (a fresh connection) held back; results
+  /// found there re-arm the stream. An instance not opened yet — one
+  /// created on an earlier connection — is opened first.
+  Result<std::vector<TaskResult>> wait(InstanceId instance,
+                                       std::uint32_t max_results,
+                                       double timeout_s);
 
  private:
   struct Stream {
@@ -81,9 +78,10 @@ class ResultStreams {
     std::uint64_t last_seq{0};
     /// Last seq the dispatcher accepted as acknowledged.
     std::uint64_t acked_seq{0};
-    /// A seq gap was seen (a lost frame, or a stale one from before a
-    /// re-arm). Acking across it would let the dispatcher discard results
-    /// never received, so last_seq freezes until the next re-arm.
+    /// Set by a seq gap (a lost frame, or a stale one from before a
+    /// re-arm) and while a re-arm is unanswered. Acking across a gap would
+    /// let the dispatcher discard results never received, so last_seq
+    /// freezes until a re-arm's reply clears this.
     bool resync{false};
     /// Serialises this instance's SubscribeResults calls: the dispatcher's
     /// cursor protocol assumes acks and re-arms never interleave.
@@ -91,12 +89,23 @@ class ResultStreams {
   };
 
   [[nodiscard]] std::shared_ptr<Stream> find(InstanceId instance) const;
-  bool rearm(InstanceId instance, Stream& stream);
+  std::shared_ptr<Stream> start(InstanceId instance);
+  /// One SubscribeResults; true when the dispatcher accepted it.
+  bool subscribe(const wire::SubscribeResults& request,
+                 const std::function<void()>& on_reply);
+  /// Take buffered results (waiting up to `timeout_s` for the first), then
+  /// ack or re-arm as the cursors call for.
+  std::vector<TaskResult> drain(InstanceId instance, Stream& stream,
+                                std::uint32_t max_results, double timeout_s);
+  /// SubscribeResults{0}: the dispatcher resets its cursors, binds the
+  /// instance to the connection the call went out on, and re-streams what
+  /// is un-acked.
+  void rearm(InstanceId instance, Stream& stream);
   /// The task-id filter: true the first time `stream` sees `task`. Caller
   /// holds stream.mu.
   bool first_delivery(Stream& stream, TaskId task);
 
-  Subscribe subscribe_;
+  Call call_;
   obs::Counter* duplicates_{nullptr};
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Stream>> streams_;

@@ -1,9 +1,7 @@
 #include "core/service_tcp.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <iterator>
 #include <thread>
 
 #include "common/logging.h"
@@ -31,14 +29,13 @@ Result<Expected> expect(Result<wire::Message> reply) {
 constexpr std::size_t kLoopRequestMaxBytes = 4096;
 
 /// Requests whose handler never blocks, by wire type tag: the executor
-/// exchange, heartbeats, stream acks and status. A submit waits in the
-/// journal barrier when the dispatcher is journaled, so it stays on the
-/// pool then. The per-transition journal hooks do not disqualify the rest:
-/// they run under dispatcher locks wherever they run, so a slow append (a
-/// synchronous ha::Journal's fsync) stalls the dispatch path either way.
-/// Everything else — wait_results (long-poll), registration, instance
-/// lifecycle, replication, election and data-plane requests — stays on the
-/// pool.
+/// exchange, heartbeats, stream acks, result fetches and status. A submit
+/// waits in the journal barrier when the dispatcher is journaled, so it
+/// stays on the pool then. The per-transition journal hooks do not
+/// disqualify the rest: they run under dispatcher locks wherever they run,
+/// so a slow append (a synchronous ha::Journal's fsync) stalls the dispatch
+/// path either way. Everything else — registration, instance lifecycle,
+/// replication, election and data-plane requests — stays on the pool.
 bool loop_request(std::uint8_t tag, std::size_t bytes, bool journaled) {
   using wire::MsgType;
   if (bytes > kLoopRequestMaxBytes) return false;
@@ -48,6 +45,7 @@ bool loop_request(std::uint8_t tag, std::size_t bytes, bool journaled) {
     case MsgType::kResultRequest:
     case MsgType::kHeartbeatRequest:
     case MsgType::kSubscribeResults:
+    case MsgType::kWaitResultsRequest:
     case MsgType::kStatusRequest:
       return true;
     case MsgType::kSubmitRequest:
@@ -130,9 +128,10 @@ Status TcpDispatcherServer::start(std::uint16_t rpc_port,
   sink_ = std::make_shared<PushSink>(*this, m_pushes_);
   client_sink_ = std::make_shared<ClientPushSink>(rpc_);
   dispatcher_.set_client_sink(client_sink_);
-  // A shared handler pool keeps slow/blocking handlers (wait_results with a
-  // timeout) from stalling pipelined calls on the same connection; small
-  // requests that never block skip that hop and run on the loop.
+  // A shared handler pool keeps slow handlers (a journaled submit's
+  // barrier, bulk decodes) from stalling pipelined calls on the same
+  // connection; small requests that never block skip that hop and run on
+  // the loop.
   net::RpcServerOptions options;
   options.handler_threads = 16;
   options.run_on_loop = [journaled = dispatcher_.journaled()](
@@ -266,8 +265,8 @@ wire::Message TcpDispatcherServer::dispatch(const wire::Message& request) {
     return reply;
   }
   if (const auto* m = std::get_if<WaitResultsRequest>(&request)) {
-    auto result =
-        dispatcher_.wait_results(m->instance_id, m->max_results, m->timeout_s);
+    // A non-blocking fetch: the client waits on its stream, not here.
+    auto result = dispatcher_.wait_results(m->instance_id, m->max_results, 0);
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
     WaitResultsReply reply;
     reply.results = result.take();
@@ -642,24 +641,21 @@ void TcpExecutorHarness::stop() {
   link_.close();
 }
 
-TcpDispatcherClient::TcpDispatcherClient(bool stream_results)
-    : stream_results_(stream_results),
-      streams_([this](const wire::SubscribeResults& request) {
-        return expect<wire::ResultStream>(rpc_->call(request)).ok();
+TcpDispatcherClient::TcpDispatcherClient()
+    : streams_([this](const wire::Message& request,
+                      const std::function<void()>& on_reply) {
+        return rpc_->call(request, on_reply);
       }) {}
 
 Result<std::unique_ptr<TcpDispatcherClient>> TcpDispatcherClient::connect(
-    const std::string& host, std::uint16_t rpc_port, std::uint16_t push_port) {
-  std::unique_ptr<TcpDispatcherClient> client(
-      new TcpDispatcherClient(push_port != 0));
-  net::RpcClient::PushHandler on_push;
-  if (client->stream_results_) {
-    on_push = [streams = &client->streams_](wire::Message message) {
-      streams->on_frame(std::move(message));
-    };
-  }
-  auto rpc = net::RpcClient::connect(host, rpc_port, nullptr, nullptr,
-                                     std::move(on_push));
+    const std::string& host, std::uint16_t rpc_port,
+    std::uint16_t /*push_port*/) {
+  std::unique_ptr<TcpDispatcherClient> client(new TcpDispatcherClient());
+  auto rpc = net::RpcClient::connect(
+      host, rpc_port, nullptr, nullptr,
+      [streams = &client->streams_](wire::Message message) {
+        streams->on_frame(std::move(message));
+      });
   if (!rpc.ok()) return rpc.error();
   client->rpc_ = std::make_unique<net::RpcClient>(rpc.take());
   return client;
@@ -671,27 +667,8 @@ Result<InstanceId> TcpDispatcherClient::create_instance(ClientId client) {
   auto reply = expect<wire::CreateInstanceReply>(rpc_->call(request));
   if (!reply.ok()) return reply.error();
   const InstanceId instance = reply.value().instance_id;
-  // Streaming regime: a failed subscription is absorbed — the instance
-  // simply stays in polling mode.
-  if (stream_results_) (void)streams_.open(instance);
+  streams_.open(instance);
   return instance;
-}
-
-Result<std::vector<TaskResult>> TcpDispatcherClient::wait_streamed(
-    InstanceId instance, std::uint32_t max_results, double timeout_s) {
-  auto out = streams_.drain(instance, max_results, timeout_s);
-  if (!out.empty()) return out;
-  // Nothing pushed within the timeout: one-shot poll. This is the lossy-
-  // channel fallback — the dispatcher hands back its streamed-but-unacked
-  // prefix (the filter drops what was already handed out) and re-arms its
-  // drain for anything left.
-  wire::WaitResultsRequest request;
-  request.instance_id = instance;
-  request.max_results = max_results;
-  request.timeout_s = 0;
-  auto reply = expect<wire::WaitResultsReply>(rpc_->call(request));
-  if (!reply.ok()) return reply.error();
-  return streams_.filter(instance, std::move(reply.value().results));
 }
 
 Result<std::uint64_t> TcpDispatcherClient::submit(InstanceId instance,
@@ -706,16 +683,7 @@ Result<std::uint64_t> TcpDispatcherClient::submit(InstanceId instance,
 
 Result<std::vector<TaskResult>> TcpDispatcherClient::wait_results(
     InstanceId instance, std::uint32_t max_results, double timeout_s) {
-  if (streams_.contains(instance)) {
-    return wait_streamed(instance, max_results, timeout_s);
-  }
-  wire::WaitResultsRequest request;
-  request.instance_id = instance;
-  request.max_results = max_results;
-  request.timeout_s = timeout_s;
-  auto reply = expect<wire::WaitResultsReply>(rpc_->call(request));
-  if (!reply.ok()) return reply.error();
-  return std::move(reply.value().results);
+  return streams_.wait(instance, max_results, timeout_s);
 }
 
 Status TcpDispatcherClient::destroy_instance(InstanceId instance) {
@@ -730,20 +698,7 @@ Status TcpDispatcherClient::destroy_instance(InstanceId instance) {
 Result<DispatcherStatus> TcpDispatcherClient::status() {
   auto reply = expect<wire::StatusReply>(rpc_->call(wire::StatusRequest{}));
   if (!reply.ok()) return reply.error();
-  DispatcherStatus status;
-  status.submitted = reply.value().submitted_tasks;
-  status.queued = reply.value().queued_tasks;
-  status.dispatched = reply.value().dispatched_tasks;
-  status.completed = reply.value().completed_tasks;
-  status.failed = reply.value().failed_tasks;
-  status.retried = reply.value().retried_tasks;
-  status.suspicions = reply.value().suspicions;
-  status.false_suspicions = reply.value().false_suspicions;
-  status.quarantined = reply.value().quarantined_tasks;
-  status.registered_executors = reply.value().registered_executors;
-  status.busy_executors = reply.value().busy_executors;
-  status.idle_executors = reply.value().idle_executors;
-  return status;
+  return DispatcherStatus::from_wire(reply.value());
 }
 
 }  // namespace falkon::core

@@ -65,10 +65,10 @@ class TcpDispatcherServer {
 
   [[nodiscard]] std::uint16_t rpc_port() const { return rpc_.port(); }
   /// Pushes ride the RPC connection, so there is no second port. This
-  /// accessor, TcpExecutorHarness's push_port argument (ignored) and the
-  /// push_port argument of TcpDispatcherClient::connect (nonzero: stream
-  /// results) remain so that callers written for the two-port layout — the
-  /// perfbench driver among them — build and behave unchanged.
+  /// accessor and the push_port arguments of TcpExecutorHarness and
+  /// TcpDispatcherClient::connect (both ignored) remain so that callers
+  /// written for the two-port layout — the perfbench program among them —
+  /// build and behave unchanged.
   [[nodiscard]] std::uint16_t push_port() const { return rpc_port(); }
   /// The RPC server: connection count and push bindings (introspection).
   [[nodiscard]] const net::RpcServer& rpc_server() const { return rpc_; }
@@ -120,11 +120,11 @@ class TcpDispatcherServer {
     obs::Counter* pushes;
   };
 
-  /// ClientSink for the push-mode result stream {8} (docs/PROTOCOL.md): a
-  /// drained mailbox batch is pushed as a ResultStream frame on the
-  /// connection that subscribed the instance. false (no binding) drops the
-  /// instance back to polling; a frame lost in flight after a true return
-  /// is recovered by the SubscribeResults ack protocol, never by the sink.
+  /// ClientSink for the result stream {8} (docs/PROTOCOL.md): a drained
+  /// mailbox batch is pushed as a ResultStream frame on the connection that
+  /// subscribed the instance. false (no binding) stops the drain until the
+  /// client re-subscribes; a frame lost in flight after a true return is
+  /// recovered by the SubscribeResults ack protocol, never by the sink.
   struct ClientPushSink final : ClientSink {
     explicit ClientPushSink(net::RpcServer& rpc) : rpc(rpc) {}
     bool deliver(InstanceId instance, std::uint64_t seq,
@@ -294,19 +294,19 @@ class TcpExecutorHarness {
 
 /// Client-side dispatcher stub over TCP.
 ///
-/// Two result-delivery regimes:
-///   * Polling (push_port == 0, the firewall-mode default): wait_results is
-///     a WaitResultsRequest RPC per batch — one roundtrip each.
-///   * Streaming (push_port != 0; its value is not used): create_instance
-///     subscribes the instance with SubscribeResults{ack_seq=0} and the
-///     dispatcher pushes drained mailbox batches as ResultStream frames on
-///     the client's RPC connection. wait_results drains a local buffer and
-///     acknowledges cumulatively — steady-state delivery costs zero request
-///     roundtrips. Lost pushes degrade to one-shot polls (the dispatcher
-///     keeps every un-acked result in the mailbox), and a per-instance
-///     task-id filter makes every arrival path exactly-once (ResultStreams).
+/// Results reach the client one way: create_instance subscribes the
+/// instance with SubscribeResults{ack_seq=0}, and the dispatcher pushes
+/// drained mailbox batches as ResultStream frames on the client's own RPC
+/// connection — outbound only, so it passes the firewalls the paper's
+/// polling mode was for. wait_results drains a local buffer
+/// and acknowledges cumulatively, so steady-state delivery costs zero
+/// request round trips. A wait that sees nothing pushed ends with one
+/// non-blocking WaitResultsRequest fetch (the dispatcher keeps every
+/// un-acked result in the mailbox), and a per-instance task-id filter makes
+/// every arrival path exactly-once (ResultStreams).
 class TcpDispatcherClient final : public DispatcherClient {
  public:
+  /// `push_port` is ignored (see TcpDispatcherServer::push_port).
   static Result<std::unique_ptr<TcpDispatcherClient>> connect(
       const std::string& host, std::uint16_t rpc_port,
       std::uint16_t push_port = 0);
@@ -320,22 +320,9 @@ class TcpDispatcherClient final : public DispatcherClient {
   Status destroy_instance(InstanceId instance) override;
   Result<DispatcherStatus> status() override;
 
-  /// True when the instance streams its results (streaming regime, and the
-  /// subscription succeeded).
-  [[nodiscard]] bool streaming(InstanceId instance) const {
-    return streams_.contains(instance);
-  }
-
  private:
-  explicit TcpDispatcherClient(bool stream_results);
+  TcpDispatcherClient();
 
-  /// Streaming-regime wait: drain pushed results, fall back to a one-shot
-  /// poll when none arrived within the timeout.
-  Result<std::vector<TaskResult>> wait_streamed(InstanceId instance,
-                                                std::uint32_t max_results,
-                                                double timeout_s);
-
-  bool stream_results_;
   ResultStreams streams_;
   /// Declared last, so destroyed first: its reader thread, which feeds
   /// streams_, is joined before streams_ goes away.

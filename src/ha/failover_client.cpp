@@ -28,9 +28,6 @@ template <class T>
 Result<T> expect(Result<wire::Message> reply) {
   if (!reply.ok()) return reply.error();
   if (auto* value = std::get_if<T>(&reply.value())) return std::move(*value);
-  if (auto* error = std::get_if<wire::ErrorReply>(&reply.value())) {
-    return make_error(error->code, error->message);
-  }
   return make_error(ErrorCode::kProtocolError,
                     std::string("unexpected reply: ") +
                         wire::msg_type_name(wire::message_type(reply.value())));
@@ -48,14 +45,12 @@ FailoverClient::FailoverClient(FailoverClientOptions options)
                          ? nullptr
                          : &options_.obs->registry().counter(
                                "falkon.ha.client.duplicate_results")),
-      streams_(
-          [this](const wire::SubscribeResults& request) {
-            // call() rides out a takeover; a promoted dispatcher that
-            // restored the instance in polling mode just clamps a stale
-            // ack cursor harmlessly.
-            return expect<wire::ResultStream>(call(request)).ok();
-          },
-          m_dup_results_) {}
+      // call() rides out a takeover; a promoted dispatcher that restored the
+      // instance unsubscribed just clamps a stale ack cursor harmlessly.
+      streams_([this](const wire::Message& request,
+                      const std::function<void()>& on_reply) {
+        return call(request, on_reply);
+      }, m_dup_results_) {}
 
 std::uint64_t FailoverClient::reconnects() const {
   std::lock_guard lock(mu_);
@@ -72,7 +67,8 @@ void FailoverClient::learn_epoch(std::uint64_t epoch) {
   epoch_ = std::max(epoch_, epoch);
 }
 
-Result<wire::Message> FailoverClient::call(const wire::Message& request) {
+Result<wire::Message> FailoverClient::call(
+    const wire::Message& request, const std::function<void()>& on_reply) {
   double backoff_s = options_.backoff_initial_s;
   Error last = make_error(ErrorCode::kUnavailable, "never attempted");
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
@@ -82,15 +78,11 @@ Result<wire::Message> FailoverClient::call(const wire::Message& request) {
     }
     std::unique_lock lock(mu_);
     if (!rpc_) {
-      net::RpcClient::PushHandler on_push;
-      if (options_.stream_results) {
-        on_push = [this](wire::Message message) {
-          streams_.on_frame(std::move(message));
-        };
-      }
-      auto rpc = net::RpcClient::connect(options_.host, options_.rpc_port,
-                                         options_.fault, nullptr,
-                                         std::move(on_push));
+      auto rpc = net::RpcClient::connect(
+          options_.host, options_.rpc_port, options_.fault, nullptr,
+          [this](wire::Message message) {
+            streams_.on_frame(std::move(message));
+          });
       if (!rpc.ok()) {
         last = rpc.error();
         reconnects_ += 1;
@@ -99,7 +91,7 @@ Result<wire::Message> FailoverClient::call(const wire::Message& request) {
       }
       rpc_ = std::make_unique<net::RpcClient>(rpc.take());
     }
-    auto reply = rpc_->call(request);
+    auto reply = rpc_->call(request, on_reply);
     if (reply.ok()) return reply;
     last = reply.error();
     if (!transport_error(last.code)) return reply;
@@ -125,13 +117,8 @@ Result<InstanceId> FailoverClient::create_instance(ClientId client) {
   auto reply = expect<wire::CreateInstanceReply>(call(request));
   if (!reply.ok()) return reply.error();
   const InstanceId instance = reply.value().instance_id;
-  // A failed subscription leaves the instance polling.
-  if (options_.stream_results) (void)streams_.open(instance);
+  streams_.open(instance);
   return instance;
-}
-
-bool FailoverClient::streaming(InstanceId instance) const {
-  return streams_.contains(instance);
 }
 
 Result<std::uint64_t> FailoverClient::submit(InstanceId instance,
@@ -169,47 +156,7 @@ Result<std::uint64_t> FailoverClient::submit(InstanceId instance,
 
 Result<std::vector<TaskResult>> FailoverClient::wait_results(
     InstanceId instance, std::uint32_t max_results, double timeout_s) {
-  if (streams_.contains(instance)) {
-    return wait_streamed(instance, max_results, timeout_s);
-  }
-  wire::WaitResultsRequest request;
-  request.instance_id = instance;
-  request.max_results = max_results;
-  request.timeout_s = timeout_s;
-  auto reply = expect<wire::WaitResultsReply>(call(request));
-  if (!reply.ok()) return reply.error();
-  std::vector<TaskResult> fresh;
-  fresh.reserve(reply.value().results.size());
-  std::lock_guard lock(mu_);
-  for (TaskResult& result : reply.value().results) {
-    if (seen_.insert(result.task_id.value).second) {
-      fresh.push_back(std::move(result));
-    } else if (m_dup_results_ != nullptr) {
-      m_dup_results_->inc();
-    }
-  }
-  return fresh;
-}
-
-Result<std::vector<TaskResult>> FailoverClient::wait_streamed(
-    InstanceId instance, std::uint32_t max_results, double timeout_s) {
-  auto fresh = streams_.drain(instance, max_results, timeout_s);
-  if (!fresh.empty()) return fresh;
-  // Nothing pushed for the whole timeout: one-shot poll. After a reconnect
-  // this is the path that keeps results flowing (the subscription ended
-  // with the old connection, and a promoted dispatcher restores instances
-  // unsubscribed), so a poll that finds results doubles as the signal to
-  // re-subscribe on the current connection.
-  wire::WaitResultsRequest request;
-  request.instance_id = instance;
-  request.max_results = max_results;
-  request.timeout_s = 0;
-  auto reply = expect<wire::WaitResultsReply>(call(request));
-  if (!reply.ok()) return reply.error();
-  const bool polled_some = !reply.value().results.empty();
-  fresh = streams_.filter(instance, std::move(reply.value().results));
-  if (polled_some) (void)streams_.rearm(instance);
-  return fresh;
+  return streams_.wait(instance, max_results, timeout_s);
 }
 
 Status FailoverClient::destroy_instance(InstanceId instance) {
@@ -225,20 +172,7 @@ Result<core::DispatcherStatus> FailoverClient::status() {
   auto reply = expect<wire::StatusReply>(call(wire::StatusRequest{}));
   if (!reply.ok()) return reply.error();
   learn_epoch(reply.value().epoch);
-  core::DispatcherStatus status;
-  status.submitted = reply.value().submitted_tasks;
-  status.queued = reply.value().queued_tasks;
-  status.dispatched = reply.value().dispatched_tasks;
-  status.completed = reply.value().completed_tasks;
-  status.failed = reply.value().failed_tasks;
-  status.retried = reply.value().retried_tasks;
-  status.suspicions = reply.value().suspicions;
-  status.false_suspicions = reply.value().false_suspicions;
-  status.quarantined = reply.value().quarantined_tasks;
-  status.registered_executors = reply.value().registered_executors;
-  status.busy_executors = reply.value().busy_executors;
-  status.idle_executors = reply.value().idle_executors;
-  return status;
+  return core::DispatcherStatus::from_wire(reply.value());
 }
 
 }  // namespace falkon::ha

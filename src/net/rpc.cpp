@@ -369,6 +369,7 @@ struct RpcClient::Impl {
     std::condition_variable cv;
     bool done{false};
     std::optional<Result<wire::Message>> reply;
+    std::function<void()> on_reply;
   };
 
   std::mutex write_mu;  // serialises frame writes (and request faults)
@@ -447,6 +448,7 @@ struct RpcClient::Impl {
         complete(cs, Error{error->code, error->message});
         continue;
       }
+      if (cs->on_reply) cs->on_reply();
       complete(cs, decoded.take());
     }
   }
@@ -490,9 +492,11 @@ Result<RpcClient> RpcClient::connect(const std::string& host,
   return RpcClient(std::move(impl));
 }
 
-Result<wire::Message> RpcClient::call(const wire::Message& request) {
+Result<wire::Message> RpcClient::call(const wire::Message& request,
+                                      const std::function<void()>& on_reply) {
   Impl* impl = impl_.get();
   auto cs = std::make_shared<Impl::CallState>();
+  cs->on_reply = on_reply;
   std::uint64_t corr;
   {
     std::lock_guard lock(impl->mu);

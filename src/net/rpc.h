@@ -207,8 +207,11 @@ class RpcClient {
 
   /// Send a request, wait for the reply. Safe to call from many threads
   /// concurrently; calls overlap on the wire. An ErrorReply from the server
-  /// is surfaced as a failed Status with the carried code.
-  Result<wire::Message> call(const wire::Message& request);
+  /// is surfaced as a failed Status with the carried code. `on_reply`
+  /// (optional) runs on the reader thread when a successful reply is read,
+  /// before any later frame — in wire order with the pushes around it.
+  Result<wire::Message> call(const wire::Message& request,
+                             const std::function<void()>& on_reply = {});
 
   /// Sever the connection; in-flight and future calls fail.
   void close();

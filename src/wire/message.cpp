@@ -406,7 +406,6 @@ struct EncodeVisitor {
   void operator()(const WaitResultsRequest& m) const {
     w.put_u64(m.instance_id.value);
     w.put_u32(m.max_results);
-    w.put_double(m.timeout_s);
   }
   void operator()(const WaitResultsReply& m) const {
     encode_task_results(w, m.results);
@@ -598,7 +597,6 @@ Message decode_payload(MsgType type, Reader& r) {
       WaitResultsRequest m;
       m.instance_id = InstanceId{r.get_u64()};
       m.max_results = r.get_u32();
-      m.timeout_s = r.get_double();
       return m;
     }
     case MsgType::kWaitResultsReply: {

@@ -186,10 +186,11 @@ struct DeregisterRequest {
 
 struct DeregisterReply {};
 
+/// Non-blocking fetch {9}: up to max_results results from the mailbox,
+/// possibly none.
 struct WaitResultsRequest {
   InstanceId instance_id;
   std::uint32_t max_results{64};
-  double timeout_s{1.0};
 };
 
 struct WaitResultsReply {

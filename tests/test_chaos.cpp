@@ -206,18 +206,22 @@ TEST(ChaosTcp, SoakEveryTaskReachesExactlyOneTerminalState) {
   EXPECT_GE(collected, kTasks * 9 / 10);
 
   // The recovery machinery actually ran, and obs agrees with the
-  // dispatcher's own accounting.
+  // dispatcher's own accounting, both read once the fleet and the server
+  // have stopped (the failure detector keeps sweeping the idle fleet).
+  for (auto& harness : fleet) harness.reset();
+  server.stop();
+  const DispatcherStatus settled = dispatcher.status();
   obs::Registry& reg = obs.registry();
   EXPECT_GT(reg.counter("falkon.dispatcher.sweeps").value(), 0u);
   EXPECT_GT(reg.counter("falkon.dispatcher.heartbeats").value(), 0u);
   EXPECT_EQ(reg.counter("falkon.dispatcher.tasks_retried").value(),
-            status.retried);
+            settled.retried);
   EXPECT_EQ(reg.counter("falkon.dispatcher.suspicions").value(),
-            status.suspicions);
+            settled.suspicions);
   EXPECT_EQ(reg.counter("falkon.dispatcher.false_suspicions").value(),
-            status.false_suspicions);
+            settled.false_suspicions);
   EXPECT_EQ(reg.counter("falkon.dispatcher.tasks_quarantined").value(),
-            status.quarantined);
+            settled.quarantined);
 
   // The plan's fault sites genuinely fired — but a site only gates when
   // the run gave it enough opportunities that silence would be a real
@@ -241,9 +245,7 @@ TEST(ChaosTcp, SoakEveryTaskReachesExactlyOneTerminalState) {
         << stats.ops << " samples";
   }
 
-  for (auto& harness : fleet) harness.reset();
   dispatcher.shutdown();
-  server.stop();
 }
 
 // ---- HA chaos: primary killed mid-run, standby takes over ----

@@ -250,12 +250,11 @@ TEST(HaClient, DuplicateSubmitSeqIsAcknowledgedNotReenqueued) {
 
 /// Run the takeover story end to end. `shared_log` selects how the standby
 /// recovers: from the primary's journal directory (authoritative) or from
-/// its warm in-memory image (bootstrap into its own directory).
-/// `streamed_client` runs the failover client in push-mode result
-/// streaming: the takeover severs the connection and its subscription,
-/// results keep flowing through the polling fallback, and the client
-/// resubscribes on its connection to the promoted dispatcher.
-void run_failover_scenario(bool shared_log, bool streamed_client = false) {
+/// its warm in-memory image (bootstrap into its own directory). The
+/// takeover severs the client's connection and its result subscription; the
+/// client's fetch picks the held-back results up and re-subscribes on its
+/// connection to the promoted dispatcher.
+void run_failover_scenario(bool shared_log) {
   constexpr std::uint64_t kTasks = 200;
   constexpr int kExecutors = 3;
 
@@ -299,7 +298,6 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
 
   FailoverClientOptions copts;
   copts.rpc_port = rpc_port;
-  copts.stream_results = streamed_client;
   copts.max_attempts = 400;
   copts.backoff_initial_s = 0.01;
   copts.backoff_max_s = 0.2;
@@ -308,7 +306,6 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
 
   auto instance = client.create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok()) << instance.error().str();
-  EXPECT_EQ(client.streaming(instance.value()), streamed_client);
   auto accepted = client.submit(instance.value(), sleep_tasks(kTasks, 0.005));
   ASSERT_TRUE(accepted.ok()) << accepted.error().str();
   ASSERT_EQ(accepted.value(), kTasks);
@@ -382,10 +379,6 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
     }
   }
   EXPECT_EQ(ids.size(), kTasks);
-  // A streamed client stays in streaming mode across the takeover (the
-  // fallback poll that found results re-armed the subscription on the
-  // connection to the promoted dispatcher).
-  EXPECT_EQ(client.streaming(instance.value()), streamed_client);
 
   // The client observed the outage and reconnected through it.
   EXPECT_GT(client.reconnects(), 0u);
@@ -408,10 +401,6 @@ TEST(HaFailover, TakeoverFromSharedLogCompletesAllTasksExactlyOnce) {
 
 TEST(HaFailover, TakeoverFromWarmImageCompletesAllTasksExactlyOnce) {
   run_failover_scenario(/*shared_log=*/false);
-}
-
-TEST(HaFailover, StreamedClientSurvivesTakeoverExactlyOnce) {
-  run_failover_scenario(/*shared_log=*/true, /*streamed_client=*/true);
 }
 
 // ---- async group-commit journaling -----------------------------------------
@@ -523,7 +512,7 @@ TEST(HaClient, StreamedInstanceGetsResultsOnTheStream) {
   // create_instance subscribes the instance on the client's connection,
   // whose reader must hand the pushed ResultStream frames to the stream. If
   // they were dropped, every wait would sit out its full timeout and then
-  // pick the results up through the one-shot poll fallback.
+  // pick the results up through the one-shot fetch.
   constexpr std::uint64_t kTasks = 50;
   constexpr double kWaitTimeoutS = 10.0;
   RealClock clock;
@@ -541,11 +530,9 @@ TEST(HaClient, StreamedInstanceGetsResultsOnTheStream) {
 
   FailoverClientOptions copts;
   copts.rpc_port = server.rpc_port();
-  copts.stream_results = true;
   FailoverClient client(copts);
   auto instance = client.create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok());
-  ASSERT_TRUE(client.streaming(instance.value()));
   ASSERT_TRUE(client.submit(instance.value(), sleep_tasks(kTasks, 0.0)).ok());
 
   std::set<std::uint64_t> got;
@@ -559,7 +546,7 @@ TEST(HaClient, StreamedInstanceGetsResultsOnTheStream) {
                                 .count();
     ASSERT_TRUE(batch.ok()) << batch.error().str();
     EXPECT_LT(waited_s, kWaitTimeoutS / 2)
-        << "results arrived through the poll fallback, not the stream";
+        << "results arrived through the fetch, not the stream";
     for (const auto& result : batch.value()) got.insert(result.task_id.value);
   }
   EXPECT_EQ(got.size(), kTasks);

@@ -329,13 +329,19 @@ TEST(TcpBundleRegression, AdaptiveSentinelsServeV0NonBundlingPeer) {
   EXPECT_EQ(reg_metrics.counter("falkon.net.rpc.bundles_issued").value(), 0u);
   EXPECT_EQ(reg_metrics.gauge("falkon.net.rpc.pending_bundles").value(), 0.0);
 
-  wire::WaitResultsRequest wait;
-  wait.instance_id = instance;
-  wait.max_results = 64;
-  wait.timeout_s = 5.0;
-  const wire::WaitResultsReply results =
-      call_expect<wire::WaitResultsReply>(raw.value(), wait);
-  EXPECT_EQ(results.results.size(), static_cast<std::size_t>(kTasks));
+  // A fetch never blocks: repeat it until every result has been picked up.
+  wire::WaitResultsRequest fetch;
+  fetch.instance_id = instance;
+  fetch.max_results = 64;
+  std::size_t fetched = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fetched < static_cast<std::size_t>(kTasks) &&
+         std::chrono::steady_clock::now() < deadline) {
+    fetched += call_expect<wire::WaitResultsReply>(raw.value(), fetch)
+                   .results.size();
+  }
+  EXPECT_EQ(fetched, static_cast<std::size_t>(kTasks));
 
   server.stop();
   dispatcher.shutdown();
@@ -345,13 +351,10 @@ TEST(TcpBundleRegression, AdaptiveSentinelsServeV0NonBundlingPeer) {
 
 TEST_F(TcpStackTest, StreamingClientReceivesResultsExactlyOnce) {
   add_executor();
-  auto client = TcpDispatcherClient::connect("127.0.0.1", server_->rpc_port(),
-                                             server_->push_port());
+  auto client = TcpDispatcherClient::connect("127.0.0.1", server_->rpc_port());
   ASSERT_TRUE(client.ok());
   auto instance = client.value()->create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok());
-  // The nonzero third connect argument subscribed the instance for pushes.
-  EXPECT_TRUE(client.value()->streaming(instance.value()));
 
   ASSERT_TRUE(client.value()->submit(instance.value(), sleep_tasks(50)).ok());
   std::set<std::uint64_t> ids;
@@ -366,7 +369,6 @@ TEST_F(TcpStackTest, StreamingClientReceivesResultsExactlyOnce) {
     }
   }
   EXPECT_EQ(ids.size(), 50u);
-  EXPECT_TRUE(client.value()->streaming(instance.value()));
   EXPECT_TRUE(client.value()->destroy_instance(instance.value()).ok());
 }
 
@@ -383,14 +385,12 @@ std::set<std::string> thread_ids() {
 // thread of their own.
 TEST_F(TcpStackTest, StreamingInstancesReuseOneReaderThread) {
   add_executor();
-  auto client = TcpDispatcherClient::connect("127.0.0.1", server_->rpc_port(),
-                                             server_->push_port());
+  auto client = TcpDispatcherClient::connect("127.0.0.1", server_->rpc_port());
   ASSERT_TRUE(client.ok());
   std::set<std::string> first_round;
   for (int round = 0; round < 5; ++round) {
     auto instance = client.value()->create_instance(ClientId{1});
     ASSERT_TRUE(instance.ok());
-    ASSERT_TRUE(client.value()->streaming(instance.value()));
     ASSERT_TRUE(client.value()->submit(instance.value(), sleep_tasks(10)).ok());
     std::size_t received = 0;
     const auto deadline =
@@ -410,25 +410,11 @@ TEST_F(TcpStackTest, StreamingInstancesReuseOneReaderThread) {
   }
 }
 
-TEST_F(TcpStackTest, StreamingSessionRunCompletes) {
-  for (int i = 0; i < 2; ++i) add_executor();
-  auto client = TcpDispatcherClient::connect("127.0.0.1", server_->rpc_port(),
-                                             server_->push_port());
-  ASSERT_TRUE(client.ok());
-  auto session = FalkonSession::open(*client.value(), ClientId{1});
-  ASSERT_TRUE(session.ok());
-  auto results = session.value()->run(sleep_tasks(200), 30.0);
-  ASSERT_TRUE(results.ok()) << results.error().str();
-  std::set<std::uint64_t> ids;
-  for (const auto& result : results.value()) ids.insert(result.task_id.value);
-  EXPECT_EQ(ids.size(), 200u);
-}
-
-TEST(TcpStreamingFault, DroppedPushFramesFallBackToPolling) {
+TEST(TcpStreamingFault, DroppedPushFramesAreFetched) {
   // Every pushed frame silently vanishes (kDrop returns
   // ok to the dispatcher, so its cursor advances as if streaming worked).
-  // Results must still arrive exactly once through the wait_results
-  // firewall fallback: un-acked results never leave the mailbox.
+  // Results must still arrive exactly once through the fetch that ends an
+  // empty wait: un-acked results never leave the mailbox.
   RealClock clock;
   fault::FaultPlan plan;
   plan.with(fault::Site::kPushFrame, fault::Action::kDrop, 1.0);
@@ -445,8 +431,7 @@ TEST(TcpStreamingFault, DroppedPushFramesFallBackToPolling) {
                              std::make_unique<NoopEngine>(), options);
   ASSERT_TRUE(harness.start().ok());
 
-  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port(),
-                                             server.push_port());
+  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port());
   ASSERT_TRUE(client.ok());
   auto instance = client.value()->create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok());
@@ -489,8 +474,7 @@ TEST(TcpReuseport, FullStackServesFromKernelBalancedListeners) {
     ASSERT_TRUE(harness->start().ok());
     pool.push_back(std::move(harness));
   }
-  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port(),
-                                             server.push_port());
+  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port());
   ASSERT_TRUE(client.ok());
   auto session = FalkonSession::open(*client.value(), ClientId{1});
   ASSERT_TRUE(session.ok());
@@ -528,53 +512,6 @@ std::pair<ExecutorId, InstanceId> register_and_create(net::RpcClient& rpc) {
           rpc, wire::CreateInstanceRequest{ClientId{1}})
           .instance_id;
   return {executor, instance};
-}
-
-TEST(TcpLoopHandlers, BlockedWaitResultsDoesNotDelayLoopRequests) {
-  // One reactor loop serves every connection: were the blocking
-  // wait_results handled on it, the other connection's small requests
-  // would queue behind it for the whole timeout.
-  RealClock clock;
-  Dispatcher dispatcher(clock, DispatcherConfig{});
-  TcpDispatcherServer server(dispatcher, nullptr, /*reactor_loops=*/1);
-  ASSERT_TRUE(server.start().ok());
-  ASSERT_EQ(server.reactor().n_loops(), 1);
-  auto waiter = net::RpcClient::connect("127.0.0.1", server.rpc_port());
-  auto other = net::RpcClient::connect("127.0.0.1", server.rpc_port());
-  ASSERT_TRUE(waiter.ok());
-  ASSERT_TRUE(other.ok());
-
-  const auto [executor, instance] = register_and_create(other.value());
-
-  std::atomic<bool> wait_done{false};
-  std::thread blocked([&] {
-    wire::WaitResultsRequest wait;
-    wait.instance_id = instance;
-    wait.max_results = 1;
-    wait.timeout_s = 1.0;
-    const double ms = call_ms<wire::WaitResultsReply>(waiter.value(), wait);
-    EXPECT_GT(ms, 900.0);
-    wait_done.store(true);
-  });
-  // Let the wait reach its handler before racing it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  wire::GetWorkRequest get_work;
-  get_work.executor_id = executor;
-  get_work.max_tasks = 1;
-  EXPECT_LT(call_ms<wire::GetWorkReply>(other.value(), get_work), 100.0);
-  wire::HeartbeatRequest heartbeat;
-  heartbeat.executor_id = executor;
-  EXPECT_LT(call_ms<wire::HeartbeatReply>(other.value(), heartbeat), 100.0);
-  wire::SubmitRequest submit;
-  submit.instance_id = instance;
-  submit.tasks = sleep_tasks(1);
-  EXPECT_LT(call_ms<wire::SubmitReply>(other.value(), submit), 100.0);
-  EXPECT_FALSE(wait_done.load()) << "the wait ended before the race ran";
-
-  blocked.join();
-  server.stop();
-  dispatcher.shutdown();
 }
 
 /// A journal whose durability barrier takes 300 ms, as a slow disk would.
@@ -628,6 +565,41 @@ TEST(TcpLoopHandlers, JournaledSubmitRunsOnThePool) {
   dispatcher.shutdown();
 }
 
+TEST(TcpLoopHandlers, ResultFetchIsAnsweredPastABusyPool) {
+  // More journaled submits than the handler pool has threads, each in a
+  // 300 ms barrier: a result fetch on another connection is still answered
+  // at once on the single loop.
+  SlowBarrierJournal journal;
+  RealClock clock;
+  DispatcherConfig config;
+  config.journal = &journal;
+  Dispatcher dispatcher(clock, config);
+  TcpDispatcherServer server(dispatcher, nullptr, /*reactor_loops=*/1);
+  ASSERT_TRUE(server.start().ok());
+  auto submitter = net::RpcClient::connect("127.0.0.1", server.rpc_port());
+  auto other = net::RpcClient::connect("127.0.0.1", server.rpc_port());
+  ASSERT_TRUE(submitter.ok());
+  ASSERT_TRUE(other.ok());
+  const InstanceId instance = register_and_create(other.value()).second;
+
+  std::vector<std::thread> submits;
+  for (int i = 0; i < 20; ++i) {
+    submits.emplace_back([&] {
+      wire::SubmitRequest submit;
+      submit.instance_id = instance;
+      submit.tasks = sleep_tasks(1);
+      (void)submitter.value().call(submit);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  wire::WaitResultsRequest fetch;
+  fetch.instance_id = instance;
+  EXPECT_LT(call_ms<wire::WaitResultsReply>(other.value(), fetch), 100.0);
+
+  for (auto& thread : submits) thread.join();
+  server.stop();
+  dispatcher.shutdown();
+}
 
 // ---- one connection per peer -------------------------------------------
 //
@@ -647,8 +619,8 @@ bool eventually(Done done, double seconds = 10.0) {
   return true;
 }
 
-/// Submit `count` tasks on a polling client and wait for all results.
-std::size_t run_polled(std::uint16_t port, int count) {
+/// Run a `count`-task session on a fresh client; the number of results.
+std::size_t run_session(std::uint16_t port, int count) {
   auto client = TcpDispatcherClient::connect("127.0.0.1", port);
   EXPECT_TRUE(client.ok());
   if (!client.ok()) return 0;
@@ -691,7 +663,7 @@ TEST(TcpPushChannel, ExecutorResubscribesWhenItsLinkReconnects) {
            server.rpc_server().bound_keys() == 1;
   }));
 
-  EXPECT_EQ(run_polled(server.rpc_port(), 5), 5u);
+  EXPECT_EQ(run_session(server.rpc_port(), 5), 5u);
   EXPECT_GE(harness.runtime().stats().notifications, 1u);
   EXPECT_EQ(harness.runtime().stats().reregistrations, 0u);
 
@@ -715,7 +687,7 @@ TEST(TcpPushChannel, PollingExecutorIsNeverPushedTo) {
                              std::make_unique<NoopEngine>(), options);
   ASSERT_TRUE(harness.start().ok());
 
-  EXPECT_EQ(run_polled(server.rpc_port(), 20), 20u);
+  EXPECT_EQ(run_session(server.rpc_port(), 20), 20u);
   EXPECT_EQ(dispatcher.request_release(1).size(), 1u);
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_EQ(server.rpc_server().bound_keys(), 0u);
@@ -747,13 +719,11 @@ TEST(TcpPushChannel, BindingsEndWithInstanceAndExecutor) {
   const std::size_t start = server.rpc_server().bound_keys();
   ASSERT_EQ(start, 1u);  // the executor's subscription
 
-  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port(),
-                                             server.push_port());
+  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port());
   ASSERT_TRUE(client.ok());
   for (int session = 0; session < 20; ++session) {
     auto instance = client.value()->create_instance(ClientId{1});
     ASSERT_TRUE(instance.ok());
-    ASSERT_TRUE(client.value()->streaming(instance.value()));
     EXPECT_EQ(server.rpc_server().bound_keys(), start + 1);
     ASSERT_TRUE(client.value()->submit(instance.value(), sleep_tasks(3)).ok());
     std::size_t received = 0;
@@ -806,12 +776,10 @@ TEST(TcpPushChannel, EachPeerHoldsOneConnection) {
   std::vector<std::unique_ptr<TcpDispatcherClient>> clients;
   std::vector<InstanceId> instances;
   for (int c = 0; c < 2; ++c) {
-    auto client = TcpDispatcherClient::connect(
-        "127.0.0.1", server.rpc_port(), server.push_port());
+    auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port());
     ASSERT_TRUE(client.ok());
     auto instance = client.value()->create_instance(ClientId{1});
     ASSERT_TRUE(instance.ok());
-    ASSERT_TRUE(client.value()->streaming(instance.value()));
     ASSERT_TRUE(
         client.value()->submit(instance.value(), sleep_tasks(50)).ok());
     clients.push_back(std::move(client.value()));
@@ -835,6 +803,131 @@ TEST(TcpPushChannel, EachPeerHoldsOneConnection) {
   fleet.clear();
   server.stop();
   dispatcher.shutdown();
+}
+
+// ---- core::ResultStreams against a scripted connection ------------------
+
+/// Stands in for a client's RPC connection. A re-arm (SubscribeResults{0})
+/// is counted and answered, and then the reader "reads" the frames queued
+/// in after_reply — before the re-arming thread gets its reply back. A
+/// fetch returns and empties `mailbox`.
+struct ScriptedConnection {
+  explicit ScriptedConnection(obs::Counter* duplicates = nullptr)
+      : streams([this](const wire::Message& request,
+                       const std::function<void()>& on_reply)
+                    -> Result<wire::Message> {
+          if (std::holds_alternative<wire::WaitResultsRequest>(request)) {
+            return wire::Message{
+                wire::WaitResultsReply{std::exchange(mailbox, {})}};
+          }
+          if (!accept) return make_error(ErrorCode::kIoError, "refused");
+          if (std::get<wire::SubscribeResults>(request).ack_seq == 0) {
+            ++rearms;
+            on_reply();
+            for (auto& frame : std::exchange(after_reply, {})) {
+              streams.on_frame(frame);
+            }
+          }
+          return wire::Message{wire::ResultStream{}};
+        }, duplicates) {}
+
+  bool accept{true};
+  int rearms{0};
+  std::vector<wire::ResultStream> after_reply;
+  std::vector<TaskResult> mailbox;
+  ResultStreams streams;
+};
+
+constexpr InstanceId kStreamed{1};
+using Ids = std::vector<std::uint64_t>;
+
+std::vector<TaskResult> results_for(const Ids& ids) {
+  std::vector<TaskResult> out(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) out[i].task_id = TaskId{ids[i]};
+  return out;
+}
+
+wire::ResultStream frame(std::uint64_t seq, const Ids& ids) {
+  return wire::ResultStream{kStreamed, seq, results_for(ids)};
+}
+
+/// Task ids from one zero-timeout wait.
+Ids wait_ids(ResultStreams& streams) {
+  auto results = streams.wait(kStreamed, 64, 0.0);
+  EXPECT_TRUE(results.ok());
+  Ids ids;
+  for (const auto& result : results.ok() ? results.value()
+                                         : std::vector<TaskResult>{}) {
+    ids.push_back(result.task_id.value);
+  }
+  return ids;
+}
+
+TEST(ResultStreams, SeqGapCostsExactlyOneRearm) {
+  ScriptedConnection connection;
+  connection.streams.open(kStreamed);
+  ASSERT_EQ(connection.rearms, 1);
+  connection.streams.on_frame(frame(1, {1}));
+  connection.streams.on_frame(frame(3, {3}));  // the frame with seq 2 was lost
+  EXPECT_EQ(wait_ids(connection.streams), (Ids{1, 3}));
+  EXPECT_EQ(connection.rearms, 2);
+  // The re-stream starts over at seq 1 and stays in order.
+  connection.streams.on_frame(frame(3, {1, 2, 3}));
+  EXPECT_EQ(wait_ids(connection.streams), (Ids{2}));
+  EXPECT_EQ(wait_ids(connection.streams), Ids{});
+  EXPECT_EQ(connection.rearms, 2);
+}
+
+TEST(ResultStreams, NewRegimeFramesReadBeforeRearmReturnsNeedNoSecondRearm) {
+  ScriptedConnection connection;
+  connection.streams.open(kStreamed);
+  connection.streams.on_frame(frame(1, {1}));
+  connection.streams.on_frame(frame(3, {3}));  // gap
+  // The re-stream's first frame is read right after the re-arm's reply.
+  connection.after_reply.push_back(frame(3, {1, 2, 3}));
+  EXPECT_EQ(wait_ids(connection.streams), (Ids{1, 3}));
+  connection.streams.on_frame(frame(4, {4}));
+  EXPECT_EQ(wait_ids(connection.streams), (Ids{2, 4}));
+  EXPECT_EQ(wait_ids(connection.streams), Ids{});
+  EXPECT_EQ(connection.rearms, 2);
+}
+
+TEST(ResultStreams, InstanceWhoseSubscribeFailedGetsResultsOnNextWait) {
+  ScriptedConnection connection;
+  connection.accept = false;
+  connection.streams.open(kStreamed);
+  connection.accept = true;
+  connection.mailbox = results_for({1, 2});
+  const auto start = std::chrono::steady_clock::now();
+  auto results = connection.streams.wait(kStreamed, 64, 10.0);
+  ASSERT_TRUE(results.ok());
+  EXPECT_EQ(results.value().size(), 2u);
+  // Marked for re-arm, the wait re-subscribed at once instead of sitting
+  // out its timeout.
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_GE(connection.rearms, 1);
+  connection.streams.on_frame(frame(1, {3}));
+  EXPECT_EQ(wait_ids(connection.streams), (Ids{3}));
+}
+
+TEST(ResultStreams, FetchDropsResultsAlreadyStreamed) {
+  obs::Counter duplicates;
+  ScriptedConnection connection(&duplicates);
+  connection.streams.open(kStreamed);
+  connection.streams.on_frame(frame(1, {1}));
+  EXPECT_EQ(wait_ids(connection.streams), (Ids{1}));
+  // The fetch returns the streamed-but-unacked prefix as well.
+  connection.mailbox = results_for({1, 2});
+  EXPECT_EQ(wait_ids(connection.streams), (Ids{2}));
+  EXPECT_EQ(duplicates.value(), 1u);
+}
+
+TEST(ResultStreams, CloseDropsFramesInFlight) {
+  ScriptedConnection connection;
+  connection.streams.open(kStreamed);
+  connection.streams.close(kStreamed);
+  connection.streams.on_frame(frame(1, {1}));
+  EXPECT_EQ(wait_ids(connection.streams), Ids{});
 }
 
 }  // namespace
